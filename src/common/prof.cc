@@ -498,101 +498,6 @@ ProfReport::writeCollapsed(std::ostream &os) const
 }
 
 void
-ProfReport::writeSpeedscope(std::ostream &os) const
-{
-    // Frame table: one frame per distinct scope name.
-    std::vector<std::string> frames;
-    auto frameIndex = [&frames](const std::string &name) {
-        for (std::size_t i = 0; i < frames.size(); ++i) {
-            if (frames[i] == name)
-                return i;
-        }
-        frames.push_back(name);
-        return frames.size() - 1;
-    };
-    // Resolve every entry's stack up front so the frame table is
-    // complete before the header is written.
-    struct Sample
-    {
-        std::string thread;
-        std::vector<std::size_t> stack;
-        std::uint64_t weight;
-    };
-    std::vector<Sample> samples;
-    for (const ProfEntry &entry : entries) {
-        if (entry.exclusiveNs == 0)
-            continue;
-        Sample sample;
-        sample.thread = entry.thread;
-        sample.weight = entry.exclusiveNs;
-        std::size_t pos = 0;
-        while (pos <= entry.path.size()) {
-            const std::size_t sep = entry.path.find(';', pos);
-            const std::size_t end =
-                sep == std::string::npos ? entry.path.size() : sep;
-            sample.stack.push_back(
-                frameIndex(entry.path.substr(pos, end - pos)));
-            if (sep == std::string::npos)
-                break;
-            pos = sep + 1;
-        }
-        samples.push_back(std::move(sample));
-    }
-
-    os << "{\n  \"$schema\": "
-          "\"https://www.speedscope.app/file-format-schema.json\",\n";
-    os << "  \"exporter\": \"morphprof\",\n";
-    os << "  \"name\": \"" << jsonEscape(meta.get("tool").empty()
-                                             ? std::string("morphprof")
-                                             : meta.get("tool"))
-       << "\",\n";
-    os << "  \"activeProfileIndex\": 0,\n";
-    os << "  \"shared\": {\"frames\": [";
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        os << (i == 0 ? "" : ",") << "\n    {\"name\": \""
-           << jsonEscape(frames[i]) << "\"}";
-    }
-    os << (frames.empty() ? "" : "\n  ") << "]},\n";
-    os << "  \"profiles\": [";
-    bool firstProfile = true;
-    for (const std::string &thread : threads) {
-        std::uint64_t total = 0;
-        for (const Sample &sample : samples) {
-            if (sample.thread == thread)
-                total += sample.weight;
-        }
-        if (!firstProfile)
-            os << ",";
-        firstProfile = false;
-        os << "\n    {\"type\": \"sampled\", \"name\": \""
-           << jsonEscape(thread)
-           << "\", \"unit\": \"nanoseconds\", \"startValue\": 0, "
-              "\"endValue\": "
-           << total << ",\n     \"samples\": [";
-        bool firstSample = true;
-        for (const Sample &sample : samples) {
-            if (sample.thread != thread)
-                continue;
-            os << (firstSample ? "" : ",") << "[";
-            firstSample = false;
-            for (std::size_t i = 0; i < sample.stack.size(); ++i)
-                os << (i == 0 ? "" : ",") << sample.stack[i];
-            os << "]";
-        }
-        os << "],\n     \"weights\": [";
-        firstSample = true;
-        for (const Sample &sample : samples) {
-            if (sample.thread != thread)
-                continue;
-            os << (firstSample ? "" : ",") << sample.weight;
-            firstSample = false;
-        }
-        os << "]}";
-    }
-    os << (firstProfile ? "" : "\n  ") << "]\n}\n";
-}
-
-void
 ProfReport::mergeIntoTrace(TraceLog &trace, std::uint32_t tid_base) const
 {
     // The merged tree has no real timestamps (calls at one site are
@@ -723,7 +628,6 @@ profWriteFiles(const ProfReport &report, const std::string &base,
     const Sink sinks[] = {
         {base, &ProfReport::writeJson},
         {base + ".collapsed", &ProfReport::writeCollapsed},
-        {base + ".speedscope.json", &ProfReport::writeSpeedscope},
     };
     for (const Sink &sink : sinks) {
         std::ofstream out(sink.path);

@@ -39,8 +39,9 @@
  * (tasks run, steals, failed steal scans, idle ns).
  *
  * Exporters: morphprof JSON (the morphprof CLI's input), collapsed
- * stacks (flamegraph.pl), speedscope JSON, a Chrome-trace merge into
- * an existing TraceLog, and a text tree for stderr summaries. See
+ * stacks (flamegraph.pl; speedscope imports them too), a Chrome-trace
+ * merge into an existing TraceLog, and a text tree for stderr
+ * summaries. See
  * docs/OBSERVABILITY.md, "Profiling the simulator itself".
  */
 
@@ -206,9 +207,6 @@ struct ProfReport
      *  flamegraph.pl. */
     void writeCollapsed(std::ostream &os) const;
 
-    /** Speedscope JSON (one sampled profile per thread, ns units). */
-    void writeSpeedscope(std::ostream &os) const;
-
     /** Append the merged tree as nested duration events on
      *  "prof.<thread>" tracks of an existing Chrome trace.
      *  Timestamps are synthetic offsets in microseconds. */
@@ -240,10 +238,9 @@ void profSetClockForTest(std::uint64_t (*now_ns)());
 void profApplyEnv(std::string &prof_out, bool &stderr_summary);
 
 /**
- * Write the three export files for @p base: the morphprof JSON at
- * @p base, collapsed stacks at "<base>.collapsed", and speedscope
- * JSON at "<base>.speedscope.json". On failure @p failed names the
- * path that could not be written.
+ * Write the export files for @p base: the morphprof JSON at @p base
+ * and collapsed stacks at "<base>.collapsed". On failure @p failed
+ * names the path that could not be written.
  */
 bool profWriteFiles(const ProfReport &report, const std::string &base,
                     std::string &failed);

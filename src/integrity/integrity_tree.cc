@@ -1,8 +1,6 @@
 #include "integrity/integrity_tree.hh"
 
-
 #include "common/check.hh"
-#include "common/log.hh"
 #include "common/prof.hh"
 
 namespace morph
@@ -11,47 +9,29 @@ namespace morph
 IntegrityTree::IntegrityTree(std::uint64_t mem_bytes,
                              const TreeConfig &config,
                              const SipKey &mac_key)
-    : geom_(mem_bytes, config), macEngine_(mac_key)
-{
-    const auto &levels = geom_.levels();
-    formats_.reserve(levels.size());
-    store_.resize(levels.size());
-    overflows_.assign(levels.size(), 0);
-    for (const auto &info : levels)
-        formats_.push_back(makeCounterFormat(info.kind));
-}
-
-IntegrityTree::~IntegrityTree() = default;
+    : core_(mem_bytes, config), macEngine_(mac_key)
+{}
 
 CachelineData &
 IntegrityTree::getEntry(unsigned level, std::uint64_t index)
 {
-    MORPH_CHECK_LT(level, store_.size());
-    MORPH_CHECK_LT(index, geom_.levels()[level].entries);
-
-    auto &level_store = store_[level];
-    auto it = level_store.find(index);
-    if (it != level_store.end())
-        return it->second;
-
-    // Materialize a fresh all-zero entry. Its MAC must be consistent
-    // from birth so verification of untouched regions succeeds.
-    CachelineData image;
-    formats_[level]->init(image);
-    if (level != geom_.rootLevel())
+    bool born = false;
+    CachelineData &image = core_.entry(level, index, born);
+    // A fresh all-zero entry's MAC must be consistent from birth so
+    // verification of untouched regions succeeds.
+    if (born && level != geometry().rootLevel())
         CounterFormat::setMac(image, entryMac(level, index, image));
-    return level_store.emplace(index, image).first->second;
+    return image;
 }
 
 std::uint64_t
 IntegrityTree::parentCounter(unsigned level, std::uint64_t index)
 {
     const unsigned parent_level = level + 1;
-    MORPH_CHECK_LE(parent_level, geom_.rootLevel());
-    const std::uint64_t pidx = geom_.parentIndex(parent_level, index);
-    const unsigned slot = geom_.childSlot(parent_level, index);
-    return formats_[parent_level]->read(getEntry(parent_level, pidx),
-                                        slot);
+    MORPH_CHECK_LE(parent_level, geometry().rootLevel());
+    const std::uint64_t pidx = geometry().parentIndex(parent_level, index);
+    return core_.counterIn(parent_level, index,
+                           getEntry(parent_level, pidx));
 }
 
 std::uint64_t
@@ -62,14 +42,14 @@ IntegrityTree::entryMac(unsigned level, std::uint64_t index,
     // entry's physical line address and its parent counter.
     CachelineData payload = image;
     CounterFormat::setMac(payload, 0);
-    return macEngine_.compute(geom_.lineOfEntry(level, index),
+    return macEngine_.compute(geometry().lineOfEntry(level, index),
                               parentCounter(level, index), payload);
 }
 
 void
 IntegrityTree::recomputeMac(unsigned level, std::uint64_t index)
 {
-    if (level == geom_.rootLevel())
+    if (level == geometry().rootLevel())
         return; // the root is on-chip and needs no MAC
     CachelineData &image = getEntry(level, index);
     CounterFormat::setMac(image, entryMac(level, index, image));
@@ -79,84 +59,76 @@ void
 IntegrityTree::propagateMutation(unsigned level, std::uint64_t index,
                                  BumpResult &out)
 {
-    if (level == geom_.rootLevel()) {
+    if (level == geometry().rootLevel()) {
         return; // root updates are on-chip register writes
     }
 
     // Recursion nests one tree.propagate per level climbed.
     MORPH_PROF_SCOPE("tree.propagate");
 
+    // A parent born here is sealed by its own recomputeMac once the
+    // recursion below returns, so it needs no birth MAC.
     const unsigned parent_level = level + 1;
-    const std::uint64_t pidx = geom_.parentIndex(parent_level, index);
-    const unsigned slot = geom_.childSlot(parent_level, index);
-
-    CachelineData &parent = getEntry(parent_level, pidx);
-    const WriteResult res = formats_[parent_level]->increment(parent,
-                                                              slot);
-    if (res.rebase)
+    const CounterTree::Bump bump = core_.bump(parent_level, index);
+    if (bump.write.rebase)
         ++out.rebases;
-    if (res.overflow) {
-        ++overflows_[parent_level];
+    if (bump.write.overflow) {
         ++out.treeOverflows;
         // Every child in the reset range changed its protecting
         // counter; re-hash the materialized ones (this entry's own
         // MAC is recomputed below in any case).
-        const std::uint64_t base = pidx * geom_.levels()[parent_level]
-                                              .arity;
-        for (unsigned c = res.reencBegin; c < res.reencEnd; ++c) {
-            const std::uint64_t child = base + c;
-            if (child == index || child >= geom_.levels()[level].entries)
-                continue;
-            if (store_[level].count(child))
+        const auto &siblings = core_.store(level);
+        for (std::uint64_t child = bump.childBegin;
+             child < bump.childEnd; ++child) {
+            if (child != index && siblings.count(child))
                 recomputeMac(level, child);
         }
     }
 
     // The parent entry changed: continue up before finalizing our MAC
     // (order is immaterial — counters at parent_level are final once
-    // increment() returns — but doing it here keeps the invariant
-    // "every stored MAC is consistent when the call stack unwinds").
-    propagateMutation(parent_level, pidx, out);
+    // bump() returns — but doing it here keeps the invariant "every
+    // stored MAC is consistent when the call stack unwinds").
+    propagateMutation(parent_level, bump.entry, out);
     recomputeMac(level, index);
 }
 
 std::uint64_t
 IntegrityTree::counterOf(LineAddr data_line)
 {
-    MORPH_CHECK_LT(data_line, geom_.dataLines());
-    const std::uint64_t idx = geom_.parentIndex(0, data_line);
-    const unsigned slot = geom_.childSlot(0, data_line);
-    return formats_[0]->read(getEntry(0, idx), slot);
+    MORPH_CHECK_LT(data_line, geometry().dataLines());
+    return core_.counterIn(0, data_line,
+                           getEntry(0, geometry().parentIndex(0, data_line)));
+}
+
+IntegrityTree::BumpResult
+IntegrityTree::bumpEncryptionCounter(CounterTree &core, LineAddr data_line)
+{
+    MORPH_CHECK_LT(data_line, core.geometry().dataLines());
+    const CounterTree::Bump bump = core.bump(0, data_line);
+    BumpResult out;
+    if (bump.write.rebase)
+        ++out.rebases;
+    if (bump.write.overflow) {
+        out.overflowed = true;
+        for (LineAddr child = bump.childBegin; child < bump.childEnd;
+             ++child)
+            out.reencrypt.push_back(child);
+    }
+    out.newCounter = core.counterIn(0, data_line, *bump.image);
+    return out;
 }
 
 IntegrityTree::BumpResult
 IntegrityTree::bumpCounter(LineAddr data_line)
 {
     MORPH_PROF_SCOPE("tree.bump");
-    MORPH_CHECK_LT(data_line, geom_.dataLines());
-    const std::uint64_t idx = geom_.parentIndex(0, data_line);
-    const unsigned slot = geom_.childSlot(0, data_line);
-
-    BumpResult out;
-    CachelineData &entry = getEntry(0, idx);
-    const WriteResult res = formats_[0]->increment(entry, slot);
-    if (res.rebase)
-        ++out.rebases;
-    if (res.overflow) {
-        ++overflows_[0];
-        out.overflowed = true;
-        const std::uint64_t base = idx * geom_.levels()[0].arity;
-        for (unsigned c = res.reencBegin; c < res.reencEnd; ++c) {
-            const LineAddr child = base + c;
-            if (child < geom_.dataLines())
-                out.reencrypt.push_back(child);
-        }
-    }
-
-    propagateMutation(0, idx, out);
-    // Re-fetch: propagation can materialize level-0 siblings (tree
-    // overflow re-hash), rehashing the store and invalidating `entry`.
-    out.newCounter = formats_[0]->read(getEntry(0, idx), slot);
+    BumpResult out = bumpEncryptionCounter(core_, data_line);
+    // The counter was read before propagation. That is final: the
+    // store is node-based (CounterTree), so materializing entries on
+    // the way up never moves an image, and propagation rewrites only
+    // MAC fields at level 0.
+    propagateMutation(0, geometry().parentIndex(0, data_line), out);
     return out;
 }
 
@@ -164,14 +136,14 @@ bool
 IntegrityTree::verify(LineAddr data_line)
 {
     MORPH_PROF_SCOPE("tree.verify");
-    MORPH_CHECK_LT(data_line, geom_.dataLines());
-    std::uint64_t index = geom_.parentIndex(0, data_line);
-    for (unsigned level = 0; level < geom_.rootLevel(); ++level) {
+    MORPH_CHECK_LT(data_line, geometry().dataLines());
+    std::uint64_t index = geometry().parentIndex(0, data_line);
+    for (unsigned level = 0; level < geometry().rootLevel(); ++level) {
         const CachelineData &image = getEntry(level, index);
         const std::uint64_t stored = CounterFormat::mac(image);
         if (!MacEngine::equal(stored, entryMac(level, index, image)))
             return false;
-        index = geom_.parentIndex(level + 1, index);
+        index = geometry().parentIndex(level + 1, index);
     }
     return true;
 }
@@ -179,8 +151,8 @@ IntegrityTree::verify(LineAddr data_line)
 bool
 IntegrityTree::verifyAll()
 {
-    for (unsigned level = 0; level < geom_.rootLevel(); ++level) {
-        for (auto &kv : store_[level]) {
+    for (unsigned level = 0; level < geometry().rootLevel(); ++level) {
+        for (const auto &kv : core_.store(level)) {
             const std::uint64_t stored = CounterFormat::mac(kv.second);
             if (!MacEngine::equal(stored,
                                   entryMac(level, kv.first, kv.second)))
@@ -200,22 +172,19 @@ void
 IntegrityTree::injectEntry(unsigned level, std::uint64_t index,
                            const CachelineData &image)
 {
-    MORPH_CHECK_LT(level, store_.size());
-    store_[level][index] = image;
+    core_.inject(level, index, image);
 }
 
 std::uint64_t
 IntegrityTree::overflowEvents(unsigned level) const
 {
-    MORPH_CHECK_LT(level, overflows_.size());
-    return overflows_[level];
+    return core_.overflowEvents(level);
 }
 
 std::uint64_t
 IntegrityTree::materializedEntries(unsigned level) const
 {
-    MORPH_CHECK_LT(level, store_.size());
-    return store_[level].size();
+    return core_.store(level).size();
 }
 
 } // namespace morph

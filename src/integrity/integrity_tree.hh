@@ -9,24 +9,22 @@
  * {entry, MAC} pair fails verification against the advanced parent
  * counter. The root entry lives on-chip and is trusted.
  *
- * This class is the *functional* tree: it stores real counter images
- * in sparse per-level stores, computes real MACs, performs real
- * verification, and supports tamper/replay injection for tests and
- * demos. Write-back caching effects (when increments propagate) are
- * the timing model's concern (src/secmem/secure_memory_model.hh);
- * here every mutation propagates to the root immediately, which is
+ * This class is the *functional* driver of the shared counter-tree
+ * core (integrity/counter_tree.hh): it adds real MACs, real
+ * verification and tamper/replay injection for tests and demos.
+ * Write-back caching effects (when increments propagate) are the
+ * timing model's concern (src/secmem/secure_memory_model.hh); here
+ * every mutation propagates to the root immediately, which is
  * functionally equivalent and maximally conservative.
  */
 
 #ifndef MORPH_INTEGRITY_INTEGRITY_TREE_HH
 #define MORPH_INTEGRITY_INTEGRITY_TREE_HH
 
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/mac.hh"
-#include "integrity/tree_geometry.hh"
+#include "integrity/counter_tree.hh"
 
 namespace morph
 {
@@ -57,7 +55,6 @@ class IntegrityTree
 
     IntegrityTree(std::uint64_t mem_bytes, const TreeConfig &config,
                   const SipKey &mac_key);
-    ~IntegrityTree();
 
     /** Current effective encryption counter of @p data_line. */
     std::uint64_t counterOf(LineAddr data_line);
@@ -68,6 +65,14 @@ class IntegrityTree
      * root.
      */
     BumpResult bumpCounter(LineAddr data_line);
+
+    /**
+     * The level-0 half of bumpCounter on @p core, without propagation:
+     * increments @p data_line's encryption counter and lists the data
+     * lines to re-encrypt. The Merkle scheme's whole bump.
+     */
+    static BumpResult bumpEncryptionCounter(CounterTree &core,
+                                            LineAddr data_line);
 
     /**
      * Verify the MAC chain protecting @p data_line's encryption
@@ -86,11 +91,16 @@ class IntegrityTree
     /**
      * Overwrite a stored entry image, bypassing all protection — the
      * adversary interface used by tamper/replay tests and demos.
+     * An out-of-range @p level or @p index fails here.
      */
     void injectEntry(unsigned level, std::uint64_t index,
                      const CachelineData &image);
 
-    const TreeGeometry &geometry() const { return geom_; }
+    const TreeGeometry &geometry() const { return core_.geometry(); }
+
+    /** The counter-tree core (the Merkle scheme drives its level 0
+     *  directly; this tree's MACs are then unused). */
+    CounterTree &core() { return core_; }
 
     /** Overflow-reset events observed at @p level since construction. */
     std::uint64_t overflowEvents(unsigned level) const;
@@ -107,11 +117,8 @@ class IntegrityTree
     void propagateMutation(unsigned level, std::uint64_t index,
                            BumpResult &out);
 
-    TreeGeometry geom_;
+    CounterTree core_;
     MacEngine macEngine_;
-    std::vector<std::unique_ptr<CounterFormat>> formats_; // per level
-    std::vector<std::unordered_map<std::uint64_t, CachelineData>> store_;
-    std::vector<std::uint64_t> overflows_; // per level
 };
 
 } // namespace morph

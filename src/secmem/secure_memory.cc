@@ -16,10 +16,8 @@ SecureMemory::SecureMemory(const SecureMemoryConfig &config)
 {
     if (config.macBits == 0 || config.macBits > 64)
         fatal("secure memory: MAC width must be 1..64 bits");
-    if (config_.freshness == FreshnessScheme::MerkleMacTree) {
+    if (config_.freshness == FreshnessScheme::MerkleMacTree)
         merkle_.emplace(geometry().levels()[0].entries, config.macKey);
-        merkleFormat_ = makeCounterFormat(config.tree.encryption);
-    }
 }
 
 MacTree &
@@ -34,13 +32,11 @@ SecureMemory::macTree()
 CachelineData &
 SecureMemory::merkleEntry(std::uint64_t entry_index)
 {
-    auto it = merkleEntries_.find(entry_index);
-    if (it != merkleEntries_.end())
-        return it->second;
-    CachelineData image;
-    merkleFormat_->init(image);
-    merkle_->updateLeaf(entry_index, image); // publish the birth state
-    return merkleEntries_.emplace(entry_index, image).first->second;
+    bool born = false;
+    CachelineData &image = tree_.core().entry(0, entry_index, born);
+    if (born)
+        merkle_->updateLeaf(entry_index, image); // publish the birth state
+    return image;
 }
 
 std::uint64_t
@@ -48,9 +44,8 @@ SecureMemory::counterOf(LineAddr line)
 {
     if (!merkle_)
         return tree_.counterOf(line);
-    const std::uint64_t entry = geometry().parentIndex(0, line);
-    const unsigned slot = geometry().childSlot(0, line);
-    return merkleFormat_->read(merkleEntry(entry), slot);
+    return tree_.core().counterIn(
+        0, line, merkleEntry(geometry().parentIndex(0, line)));
 }
 
 bool
@@ -67,27 +62,11 @@ SecureMemory::bumpCounter(LineAddr line)
 {
     if (!merkle_)
         return tree_.bumpCounter(line);
-
+    // An entry born by this bump is published once, post-increment.
+    IntegrityTree::BumpResult out =
+        IntegrityTree::bumpEncryptionCounter(tree_.core(), line);
     const std::uint64_t entry = geometry().parentIndex(0, line);
-    const unsigned slot = geometry().childSlot(0, line);
-    CachelineData &image = merkleEntry(entry);
-
-    IntegrityTree::BumpResult out;
-    const WriteResult res = merkleFormat_->increment(image, slot);
-    if (res.rebase)
-        ++out.rebases;
-    if (res.overflow) {
-        out.overflowed = true;
-        const std::uint64_t base =
-            entry * geometry().levels()[0].arity;
-        for (unsigned c = res.reencBegin; c < res.reencEnd; ++c) {
-            const LineAddr child = base + c;
-            if (child < geometry().dataLines())
-                out.reencrypt.push_back(child);
-        }
-    }
-    merkle_->updateLeaf(entry, image);
-    out.newCounter = merkleFormat_->read(image, slot);
+    merkle_->updateLeaf(entry, tree_.core().entry(0, entry));
     return out;
 }
 
@@ -109,7 +88,7 @@ SecureMemory::tamperCounterEntry(std::uint64_t entry_index,
     }
     // A physical overwrite of the stored entry: the Merkle tree is
     // NOT updated (the attacker cannot recompute on-chip hashes).
-    merkleEntries_[entry_index] = image;
+    tree_.core().inject(0, entry_index, image);
 }
 
 void

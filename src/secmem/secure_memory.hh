@@ -22,7 +22,6 @@
 #define MORPH_SECMEM_SECURE_MEMORY_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 
@@ -164,7 +163,8 @@ class SecureMemory
     std::uint64_t dataMac(LineAddr line, std::uint64_t counter,
                           const CachelineData &ciphertext) const;
 
-    /** MacTree scheme: the counter entry image (published on birth). */
+    /** MacTree scheme: a level-0 image of the tree's core, published
+     *  to the MacTree on birth. */
     CachelineData &merkleEntry(std::uint64_t entry_index);
 
     /** Bump the counter of @p line, under either freshness scheme;
@@ -181,10 +181,9 @@ class SecureMemory
     SecureMemoryConfig config_;
     OtpEngine otp_;
     MacEngine macEngine_;
+    /** Under MerkleMacTree only the core's level 0 is used. */
     IntegrityTree tree_;
     std::optional<MacTree> merkle_;
-    std::unordered_map<std::uint64_t, CachelineData> merkleEntries_;
-    std::unique_ptr<CounterFormat> merkleFormat_;
     std::unordered_map<LineAddr, StoredLine> store_;
     Stats stats_;
 

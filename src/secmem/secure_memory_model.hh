@@ -23,8 +23,9 @@
  *         L = 0, re-hash of child entries for L >= 1), categorized as
  *         Overflow traffic.
  *
- * Counter entries are maintained bit-exactly (real ZCC/MCR/SC images)
- * so overflow rates, format morphs and rebases are faithful; data
+ * Counter entries are maintained bit-exactly (real ZCC/MCR/SC images
+ * in the shared counter-tree core, integrity/counter_tree.hh) so
+ * overflow rates, format morphs and rebases are faithful; data
  * payloads and MAC values are not modelled here (SecureMemory does
  * that functionally).
  */
@@ -33,9 +34,9 @@
 #define MORPH_SECMEM_SECURE_MEMORY_MODEL_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "integrity/counter_tree.hh"
 #include "secmem/metadata_cache.hh"
 #include "secmem/persist_domain.hh"
 #include "secmem/traffic_stats.hh"
@@ -126,12 +127,16 @@ class SecureMemoryModel
                        const std::string &prefix,
                        bool occupancy = false) const;
 
-    const TreeGeometry &geometry() const { return geom_; }
+    const TreeGeometry &geometry() const { return core_.geometry(); }
     const MetadataCache &metadataCache() const { return mdcache_; }
     const SecureModelConfig &config() const { return config_; }
 
     /** Effective counter of @p data_line (model introspection). */
     std::uint64_t counterOf(LineAddr data_line);
+
+    /** Encryption-counter entry image (model introspection; the
+     *  model stores no MACs, so the MAC field stays zero). */
+    CachelineData counterEntryOf(std::uint64_t entry_index);
 
     /** End of run: drain the persist domain's pending mutations
      *  through a final barrier (no-op without persistence). */
@@ -141,26 +146,23 @@ class SecureMemoryModel
     const PersistDomain *persistDomain() const { return persist_.get(); }
 
   private:
-    CachelineData &entryImage(unsigned level, std::uint64_t index);
     void ensureCached(unsigned level, std::uint64_t index,
                       std::vector<MemAccess> &out, bool critical);
     void insertMetadata(LineAddr line, bool dirty,
                         std::vector<MemAccess> &out);
     void handleDirtyWriteback(unsigned level, std::uint64_t index,
                               std::vector<MemAccess> &out);
-    void bumpEntryCounter(unsigned level, std::uint64_t child_index,
-                          std::vector<MemAccess> &out);
-    void emitOverflowTraffic(unsigned level, std::uint64_t entry_index,
-                             unsigned begin, unsigned end,
+    void bumpCounter(unsigned level, std::uint64_t child,
+                     std::vector<MemAccess> &out);
+    void emitOverflowTraffic(unsigned level, std::uint64_t begin,
+                             std::uint64_t end,
                              std::vector<MemAccess> &out);
     LineAddr macLineOf(LineAddr data_line) const;
 
     SecureModelConfig config_;
-    TreeGeometry geom_;
+    CounterTree core_;
     MetadataCache mdcache_;
     TrafficStats stats_;
-    std::vector<std::unique_ptr<CounterFormat>> formats_;
-    std::vector<std::unordered_map<std::uint64_t, CachelineData>> store_;
     std::unique_ptr<PersistDomain> persist_;
     LineAddr macBaseLine_ = 0;
 };

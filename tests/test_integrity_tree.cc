@@ -175,6 +175,18 @@ TEST_F(IntegrityTreeTest, MaterializationIsLazy)
     EXPECT_GE(lazy.materializedEntries(1), 1u);
 }
 
+TEST(IntegrityTreeDeathTest, InjectOutOfRangeFailsAtTheCall)
+{
+    IntegrityTree tree(16 * MiB, TreeConfig::morph(), testKey());
+    const auto &levels = tree.geometry().levels();
+    const CachelineData image{};
+    // Rejected here, not later inside verifyAll's parent walk.
+    EXPECT_DEATH(tree.injectEntry(0, levels[0].entries, image),
+                 "lhs \\(index\\)");
+    EXPECT_DEATH(tree.injectEntry(unsigned(levels.size()), 0, image),
+                 "lhs \\(level\\)");
+}
+
 TEST(IntegrityTreeConfigs, AllConfigsFunctionallyEquivalent)
 {
     // Every counter organization must provide the same functional

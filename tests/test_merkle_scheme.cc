@@ -138,6 +138,19 @@ TEST_F(MerkleSchemeTest, MacTreeAccessorGuarded)
                 "MacTree");
 }
 
+TEST(MerkleSchemeDeathTest, TamperOutOfRangeEntryFailsAtTheCall)
+{
+    for (const auto scheme : {FreshnessScheme::MerkleMacTree,
+                              FreshnessScheme::CounterTree}) {
+        SecureMemoryConfig config = merkleConfig();
+        config.freshness = scheme;
+        SecureMemory mem(config);
+        const std::uint64_t entries = mem.geometry().levels()[0].entries;
+        EXPECT_DEATH(mem.tamperCounterEntry(entries, CachelineData{}),
+                     "lhs \\(index\\)");
+    }
+}
+
 TEST(MerkleSchemeEquivalence, BothSchemesAgreeFunctionally)
 {
     SecureMemoryConfig merkle_config = merkleConfig();

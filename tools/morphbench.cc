@@ -475,8 +475,8 @@ usage()
         "                      (default 0.05)\n"
         "  --kernel-min-ratio F  fail a kernel below F x baseline\n"
         "                      (default: baseline's kernel_gate)\n"
-        "  --prof-out FILE     write a morphprof self-profile (JSON,\n"
-        "                      FILE.collapsed, FILE.speedscope.json);\n"
+        "  --prof-out FILE     write a morphprof self-profile (JSON\n"
+        "                      and FILE.collapsed);\n"
         "                      MORPH_PROF=1 for a stderr summary\n");
 }
 

@@ -90,8 +90,8 @@ usage()
         "                      request lifecycles\n"
         "  --trace-sample N    trace 1-in-N data accesses\n"
         "                      (default 64; 1 = every access)\n"
-        "  --prof-out FILE     write a morphprof self-profile (JSON,\n"
-        "                      FILE.collapsed, FILE.speedscope.json);\n"
+        "  --prof-out FILE     write a morphprof self-profile (JSON\n"
+        "                      and FILE.collapsed);\n"
         "                      MORPH_PROF=1 for a stderr summary\n"
         "  --sweep LIST        run the workload against a comma-\n"
         "                      separated config list (or 'all') as\n"
