@@ -72,17 +72,48 @@ void
 PersistDomain::persistLine(LineAddr line, const CachelineData &image,
                            bool foldDigest)
 {
-    auto it = durable_.find(line);
-    if (foldDigest) {
-        if (it != durable_.end())
-            durableDigest_ ^= entryHash(line, it->second);
-        durableDigest_ ^= entryHash(line, image);
-    }
-    if (it != durable_.end())
-        it->second = image;
-    else
-        durable_.emplace(line, image);
     ++stats_.linePersists;
+    DurableMap::value_type &node = *durable_.try_emplace(line).first;
+    DurableLine &entry = node.second;
+    if (!foldDigest) {
+        // The digest must not move. A deferred line now owes
+        // H(new image), so durableDigest_ absorbs the difference; a
+        // folded line keeps its old term in durableDigest_ but caches
+        // H(new image), the term its next folded persist XORs out.
+        const std::uint64_t hash = entryHash(line, image);
+        if (entry.deferred)
+            durableDigest_ ^= entryHash(line, entry.image) ^ hash;
+        entry.hash = hash;
+        entry.image = image;
+        return;
+    }
+    entry.image = image;
+    if (entry.deferred)
+        return;
+    durableDigest_ ^= entry.hash;
+    entry.deferred = true;
+    deferred_.push_back(&node);
+}
+
+std::uint64_t
+PersistDomain::currentDigest() const
+{
+    std::uint64_t digest = durableDigest_;
+    for (const DurableMap::value_type *node : deferred_)
+        digest ^= entryHash(node->first, node->second.image);
+    return digest;
+}
+
+void
+PersistDomain::foldDeferred()
+{
+    for (DurableMap::value_type *node : deferred_) {
+        DurableLine &entry = node->second;
+        entry.hash = entryHash(node->first, entry.image);
+        entry.deferred = false;
+        durableDigest_ ^= entry.hash;
+    }
+    deferred_.clear();
 }
 
 void
@@ -93,7 +124,7 @@ PersistDomain::appendUndo(LineAddr line)
     const auto it = durable_.find(line);
     record.hadPrev = it != durable_.end();
     if (record.hadPrev)
-        record.prev = it->second;
+        record.prev = it->second.image;
     else
         record.prev = CachelineData{};
     undoLog_.push_back(record);
@@ -103,7 +134,7 @@ PersistDomain::appendUndo(LineAddr line)
 void
 PersistDomain::commitRoot()
 {
-    persistedRoot_ = durableDigest_;
+    rootIsDigest_ = true;
     mutationsSinceRoot_ = 0;
     ++stats_.rootPersists;
 }
@@ -141,6 +172,13 @@ PersistDomain::onDirtyWriteback(unsigned level, LineAddr line,
     // broken fixture drops the log record for tree-level lines.
     if (!(config_.brokenSkipTreePersist && level >= 1))
         appendUndo(line);
+    // The persist moves the digest past the committed root, so the
+    // root needs its own value from here on.
+    if (rootIsDigest_) {
+        foldDeferred();
+        persistedRoot_ = durableDigest_;
+        rootIsDigest_ = false;
+    }
     persistLine(line, image, true);
     pendingLines_.erase(line);
 }
@@ -189,28 +227,44 @@ PersistDomain::recover() const
 {
     RecoveryReport report;
 
-    // Roll the write-ahead log back, newest record first; repeated
-    // records for one line restore the oldest pre-image last.
-    std::unordered_map<LineAddr, CachelineData> recovered = durable_;
-    for (auto it = undoLog_.rbegin(); it != undoLog_.rend(); ++it) {
-        if (it->hadPrev)
-            recovered[it->line] = it->prev;
-        else
-            recovered.erase(it->line);
-        ++report.rolledBack;
-    }
+    // Roll the write-ahead log back: a line's recovered image is the
+    // pre-image in its oldest undo record.
+    std::unordered_map<LineAddr, const UndoRecord *> oldest;
+    for (const UndoRecord &record : undoLog_)
+        oldest.try_emplace(record.line, &record);
+    report.rolledBack = undoLog_.size();
 
     // Re-derive the root from the recovered lines, exactly as a
-    // post-crash verifier must (it cannot trust any cached digest).
+    // post-crash verifier must. A folded line's cached hash is
+    // H(line, image); a deferred line is hashed here, once, and the
+    // same hash pays what it owes to the current digest. Undo records
+    // come only from lazy writebacks, each of which pins the root, so
+    // a rolled-back line never feeds the current digest.
+    MORPH_CHECK(undoLog_.empty() || !rootIsDigest_);
     std::uint64_t digest = 0;
+    std::uint64_t current = durableDigest_;
     // morphflow: allow(nondet-iter): XOR fold is order-independent
-    for (const auto &[line, image] : recovered)
-        digest ^= entryHash(line, image);
+    for (const auto &[line, entry] : durable_) {
+        const auto undo = oldest.find(line);
+        if (undo != oldest.end()) {
+            if (undo->second->hadPrev) {
+                digest ^= entryHash(line, undo->second->prev);
+                ++report.durableEntries;
+            }
+            continue;
+        }
+        std::uint64_t hash = entry.hash;
+        if (entry.deferred) {
+            hash = entryHash(line, entry.image);
+            current ^= hash;
+        }
+        digest ^= hash;
+        ++report.durableEntries;
+    }
 
-    report.durableEntries = recovered.size();
     report.recoveredDigest = digest;
-    report.persistedRoot = persistedRoot_;
-    report.consistent = digest == persistedRoot_;
+    report.persistedRoot = rootIsDigest_ ? current : persistedRoot_;
+    report.consistent = digest == report.persistedRoot;
     report.lostWrites = mutationsSinceRoot_;
     return report;
 }
@@ -218,8 +272,9 @@ PersistDomain::recover() const
 std::uint64_t
 PersistDomain::durableFingerprint() const
 {
-    std::uint64_t fp = durableDigest_;
-    fp = mix64(fp, persistedRoot_);
+    const std::uint64_t digest = currentDigest();
+    std::uint64_t fp = digest;
+    fp = mix64(fp, rootIsDigest_ ? digest : persistedRoot_);
     fp = mix64(fp, std::uint64_t(undoLog_.size()));
     for (const UndoRecord &record : undoLog_)
         fp = mix64(fp, entryHash(record.line, record.prev) ^

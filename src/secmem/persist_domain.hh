@@ -41,6 +41,17 @@
  * undo the log, re-derive the root digest from the durable lines, and
  * compare it against the persisted root. morphverify's --recovery
  * sweep drives this from crash cuts at arbitrary access indexes.
+ *
+ * The digest is folded lazily. It is an XOR over H(line, image) of
+ * every durable line, but nothing reads it until recover() or
+ * durableFingerprint() is called, so a persist only copies the image
+ * and marks the line deferred: its hash is owed to the digest. A
+ * commit only records that the root equals the current digest. The
+ * owed hashes are paid, one SipHash per deferred line, at a read-out
+ * or when a lazy-policy writeback is about to move the digest past a
+ * committed root, which must then be pinned to a value first. Every
+ * exposed value equals that of an eager fold (pinned by a
+ * differential test).
  */
 
 #ifndef MORPH_SECMEM_PERSIST_DOMAIN_HH
@@ -118,6 +129,10 @@ class PersistDomain
   public:
     explicit PersistDomain(const PersistConfig &config);
 
+    // deferred_ points into durable_'s nodes.
+    PersistDomain(const PersistDomain &) = delete;
+    PersistDomain &operator=(const PersistDomain &) = delete;
+
     /** A volatile entry mutated (counter bump / overflow reset).
      *  @p line is the entry's physical line, @p level its tree level,
      *  @p image the post-mutation contents. */
@@ -165,22 +180,51 @@ class PersistDomain
         CachelineData prev;
     };
 
+    /** One line of the durable image. */
+    struct DurableLine
+    {
+        CachelineData image{};
+        /** While not deferred: H(line, image), the term the line's
+         *  next folded persist XORs out of durableDigest_. Stale while
+         *  deferred. */
+        std::uint64_t hash = 0;
+        bool deferred = false;
+    };
+    using DurableMap = std::unordered_map<LineAddr, DurableLine>;
+
     std::uint64_t entryHash(LineAddr line,
                             const CachelineData &image) const;
     /** Write @p image to the durable store, maintaining the digest.
-     *  @p foldDigest false models the broken unpersisted-tree-write. */
+     *  @p foldDigest false models the broken unpersisted-tree-write:
+     *  the line changes but the digest does not. */
     void persistLine(LineAddr line, const CachelineData &image,
                      bool foldDigest);
+    /** durableDigest_ XOR the hashes the deferred lines owe. */
+    std::uint64_t currentDigest() const;
+    /** Pay every deferred line's hash into durableDigest_. */
+    void foldDeferred();
     void appendUndo(LineAddr line);
     void commitRoot();
     void barrier();
 
     PersistConfig config_;
-    std::unordered_map<LineAddr, CachelineData> durable_;
+    DurableMap durable_;
+    /** The deferred lines of durable_, each listed once. */
+    std::vector<DurableMap::value_type *> deferred_;
     std::unordered_map<LineAddr, CachelineData> pendingLines_;
     std::vector<UndoRecord> undoLog_;
-    std::uint64_t durableDigest_ = 0; ///< XOR set-hash over durable_
+    /**
+     * Lazy XOR set-hash over durable_. The digest an eager fold would
+     * hold is durableDigest_ XOR H(line, image) over deferred_; it is
+     * computed only by recover(), durableFingerprint() and the root
+     * pin of a lazy-policy writeback.
+     */
+    std::uint64_t durableDigest_ = 0;
+    /** The committed root, valid while !rootIsDigest_. A commit sets
+     *  rootIsDigest_ instead of computing the digest; a writeback
+     *  that moves the digest without a commit pins the value here. */
     std::uint64_t persistedRoot_ = 0;
+    bool rootIsDigest_ = false;
     std::uint64_t epochClock_ = 0;    ///< data writes since last barrier
     std::uint64_t mutationsSinceRoot_ = 0;
     PersistStats stats_;

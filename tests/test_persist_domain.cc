@@ -1,12 +1,20 @@
 /**
  * @file
  * Tests for the NVM persist domain: recoverability under both root
- * policies, write-ahead rollback, the broken-fixture exposure, and
- * the pure-observer invariant against the volatile model.
+ * policies, write-ahead rollback, the broken-fixture exposure, the
+ * lazy digest against an eager reference, and the pure-observer
+ * invariant against the volatile model.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.hh"
+#include "crypto/siphash.hh"
 #include "secmem/persist_domain.hh"
 #include "sim/simulator.hh"
 
@@ -223,6 +231,239 @@ TEST(PersistDomain, ObserverDoesNotPerturbSimulation)
     }
     EXPECT_EQ(base.persist.linePersists, 0u);
     EXPECT_GT(nvm.persist.linePersists, 0u);
+}
+
+/**
+ * The eager digest bookkeeping the lazy fold replaces: every persist
+ * XORs H(line, old image) out of the digest and H(line, new image) in,
+ * and a commit stores the digest's value as the root. Persist policy,
+ * undo log, pending set and broken fixture follow PersistDomain.
+ */
+class EagerReference
+{
+  public:
+    explicit EagerReference(const PersistConfig &config) : config_(config)
+    {
+    }
+
+    void
+    onEntryUpdate(unsigned level, LineAddr line, const CachelineData &img)
+    {
+        ++mutationsSinceRoot_;
+        if (config_.policy == PersistPolicy::Strict) {
+            persistLine(line, img, !(broken() && level >= 1));
+            commitRoot();
+            return;
+        }
+        pending_[line] = img;
+    }
+
+    void
+    onDirtyWriteback(unsigned level, LineAddr line,
+                     const CachelineData &img)
+    {
+        if (config_.policy == PersistPolicy::Strict)
+            return;
+        if (!(broken() && level >= 1)) {
+            const auto it = durable_.find(line);
+            const bool had = it != durable_.end();
+            undo_.push_back(
+                {line, had, had ? it->second : CachelineData{}});
+        }
+        persistLine(line, img, true);
+        pending_.erase(line);
+    }
+
+    void
+    onDataWrite()
+    {
+        if (config_.policy == PersistPolicy::Lazy &&
+            ++epochClock_ >= config_.epochWrites)
+            barrier();
+    }
+
+    void
+    finish()
+    {
+        if (config_.policy == PersistPolicy::Lazy &&
+            !(pending_.empty() && undo_.empty() &&
+              mutationsSinceRoot_ == 0))
+            barrier();
+    }
+
+    RecoveryReport
+    recover() const
+    {
+        RecoveryReport report;
+        std::unordered_map<LineAddr, CachelineData> recovered = durable_;
+        for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+            if (it->hadPrev)
+                recovered[it->line] = it->prev;
+            else
+                recovered.erase(it->line);
+            ++report.rolledBack;
+        }
+        std::uint64_t digest = 0;
+        for (const auto &[line, img] : recovered)
+            digest ^= hash(line, img);
+        report.durableEntries = recovered.size();
+        report.recoveredDigest = digest;
+        report.persistedRoot = root_;
+        report.consistent = digest == root_;
+        report.lostWrites = mutationsSinceRoot_;
+        return report;
+    }
+
+    std::uint64_t
+    durableFingerprint() const
+    {
+        std::uint64_t fp = digest_;
+        fp = mix64(fp, root_);
+        fp = mix64(fp, std::uint64_t(undo_.size()));
+        for (const Undo &record : undo_)
+            fp = mix64(fp, hash(record.line, record.prev) ^
+                               (record.hadPrev ? 1u : 0u));
+        std::uint64_t pendingHash = 0;
+        for (const auto &[line, img] : pending_)
+            pendingHash ^= hash(line, img);
+        fp = mix64(fp, pendingHash);
+        return mix64(fp, mutationsSinceRoot_);
+    }
+
+  private:
+    struct Undo
+    {
+        LineAddr line;
+        bool hadPrev;
+        CachelineData prev;
+    };
+
+    static std::uint64_t
+    hash(LineAddr line, const CachelineData &img)
+    {
+        static const SipKey key = {0x6d, 0x6f, 0x72, 0x70, 0x68, 0x70,
+                                   0x65, 0x72, 0x73, 0x69, 0x73, 0x74,
+                                   0x6b, 0x65, 0x79, 0x30};
+        std::uint8_t buf[sizeof(LineAddr) + lineBytes];
+        std::memcpy(buf, &line, sizeof(line));
+        std::memcpy(buf + sizeof(line), img.data(), lineBytes);
+        return siphash24(buf, sizeof(buf), key);
+    }
+
+    static std::uint64_t
+    mix64(std::uint64_t h, std::uint64_t v)
+    {
+        h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+        h ^= h >> 30;
+        h *= 0xbf58476d1ce4e5b9ull;
+        h ^= h >> 27;
+        return h;
+    }
+
+    bool broken() const { return config_.brokenSkipTreePersist; }
+
+    void
+    persistLine(LineAddr line, const CachelineData &img, bool fold)
+    {
+        const auto it = durable_.find(line);
+        if (fold) {
+            if (it != durable_.end())
+                digest_ ^= hash(line, it->second);
+            digest_ ^= hash(line, img);
+        }
+        durable_[line] = img;
+    }
+
+    void
+    commitRoot()
+    {
+        root_ = digest_;
+        mutationsSinceRoot_ = 0;
+    }
+
+    void
+    barrier()
+    {
+        epochClock_ = 0;
+        for (const auto &[line, img] : pending_)
+            persistLine(line, img, true);
+        pending_.clear();
+        undo_.clear();
+        commitRoot();
+    }
+
+    PersistConfig config_;
+    std::unordered_map<LineAddr, CachelineData> durable_;
+    std::unordered_map<LineAddr, CachelineData> pending_;
+    std::vector<Undo> undo_;
+    std::uint64_t digest_ = 0;
+    std::uint64_t root_ = 0;
+    std::uint64_t epochClock_ = 0;
+    std::uint64_t mutationsSinceRoot_ = 0;
+};
+
+TEST(PersistDomain, LazyDigestMatchesEagerReference)
+{
+    struct Case
+    {
+        const char *name;
+        PersistConfig config;
+    };
+    std::vector<Case> cases = {{"strict", strictConfig()},
+                               {"lazy-1", lazyConfig(1)},
+                               {"lazy-7", lazyConfig(7)},
+                               {"lazy-4096", lazyConfig(4096)},
+                               {"broken-strict", strictConfig()},
+                               {"broken-lazy-7", lazyConfig(7)}};
+    cases[4].config.brokenSkipTreePersist = true;
+    cases[5].config.brokenSkipTreePersist = true;
+
+    for (const Case &c : cases) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE(std::string(c.name) + " seed " +
+                         std::to_string(seed));
+            PersistDomain lazy(c.config);
+            EagerReference eager(c.config);
+            Rng rng(seed);
+            for (unsigned step = 0; step < 2000; ++step) {
+                // Half the traffic hits four hot lines, so lines are
+                // re-persisted while deferred, folded and rolled back.
+                const LineAddr line = LineAddr(
+                    0x9000 + (rng.chance(0.5) ? rng.below(4)
+                                              : rng.below(40)));
+                const unsigned level = unsigned(rng.below(3));
+                const CachelineData img =
+                    image(std::uint8_t(rng.below(8)));
+                const std::uint64_t op = rng.below(100);
+                if (op < 40) {
+                    lazy.onEntryUpdate(level, line, img);
+                    eager.onEntryUpdate(level, line, img);
+                } else if (op < 65) {
+                    lazy.onDirtyWriteback(level, line, img);
+                    eager.onDirtyWriteback(level, line, img);
+                } else if (op < 98) {
+                    lazy.onDataWrite();
+                    eager.onDataWrite();
+                } else {
+                    lazy.finish();
+                    eager.finish();
+                }
+
+                const RecoveryReport got = lazy.recover();
+                const RecoveryReport want = eager.recover();
+                ASSERT_EQ(got.consistent, want.consistent) << step;
+                ASSERT_EQ(got.durableEntries, want.durableEntries) << step;
+                ASSERT_EQ(got.rolledBack, want.rolledBack) << step;
+                ASSERT_EQ(got.lostWrites, want.lostWrites) << step;
+                ASSERT_EQ(got.recoveredDigest, want.recoveredDigest)
+                    << step;
+                ASSERT_EQ(got.persistedRoot, want.persistedRoot) << step;
+                ASSERT_EQ(lazy.durableFingerprint(),
+                          eager.durableFingerprint())
+                    << step;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -44,6 +44,7 @@
 #include "common/log.hh"
 #include "common/prof.hh"
 #include "common/run_pool.hh"
+#include "flag_parse.hh"
 #include "sim/simulator.hh"
 
 namespace
@@ -287,17 +288,15 @@ badFlag(const char *fmt, const char *detail)
 }
 
 /** Parse a non-negative integer option value; exits with code 2 on
- *  junk or negative input (atoll would silently wrap "-3" to a huge
- *  unsigned count instead). */
+ *  junk or negative input (see flag_parse.hh). */
 std::uint64_t
-parseCount(const std::string &arg, const char *text)
+countFlag(const std::string &arg, const char *text)
 {
-    char *end = nullptr;
-    const long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || v < 0)
+    const std::optional<std::uint64_t> v = parseCount(text);
+    if (!v)
         badFlag("option %s needs a non-negative integer",
                 arg.c_str());
-    return std::uint64_t(v);
+    return *v;
 }
 
 /** Expand a --sweep list ("all" or comma-separated names) into
@@ -510,7 +509,7 @@ main(int argc, char **argv)
                 badFlag("option %s needs strict, lazy or off",
                         arg.c_str());
         } else if (arg == "--persist-epoch") {
-            const std::uint64_t v = parseCount(arg, value());
+            const std::uint64_t v = countFlag(arg, value());
             if (v == 0)
                 badFlag("option %s needs a value >= 1", arg.c_str());
             secmem.persist.epochWrites = v;
@@ -523,7 +522,7 @@ main(int argc, char **argv)
         } else if (arg == "--occupancy") {
             scope_config.occupancy = true;
         } else if (arg == "--epoch") {
-            scope_config.epochAccesses = parseCount(arg, value());
+            scope_config.epochAccesses = countFlag(arg, value());
         } else if (arg == "--stats-json") {
             stats_json_path = value();
         } else if (arg == "--stats-csv") {
@@ -531,7 +530,7 @@ main(int argc, char **argv)
         } else if (arg == "--trace-out") {
             trace_out_path = value();
         } else if (arg == "--trace-sample") {
-            trace_sample = parseCount(arg, value());
+            trace_sample = countFlag(arg, value());
             if (trace_sample == 0)
                 badFlag("option %s needs a value >= 1", arg.c_str());
         } else if (arg == "--prof-out") {
@@ -539,7 +538,7 @@ main(int argc, char **argv)
         } else if (arg == "--sweep") {
             sweep_list = value();
         } else if (arg == "--jobs") {
-            const std::uint64_t v = parseCount(arg, value());
+            const std::uint64_t v = countFlag(arg, value());
             if (v == 0)
                 badFlag("option %s needs a value >= 1", arg.c_str());
             jobs = unsigned(v);

@@ -61,7 +61,6 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -81,6 +80,7 @@
 #include "counters/transition_model.hh"
 #include "counters/zcc_codec.hh"
 #include "crypto/siphash.hh"
+#include "flag_parse.hh"
 #include "sim/crash_injector.hh"
 
 namespace
@@ -685,6 +685,23 @@ runRecoveryCase(const RecoveryCase &c, bool quiet)
 // Driver
 // ---------------------------------------------------------------------
 
+/** Parse @p text as the count value of flag @p arg; on junk or
+ *  negative input, report it and return false (exit 2). */
+bool
+countFlag(const std::string &arg, const char *text, std::uint64_t &out)
+{
+    const std::optional<std::uint64_t> v = parseCount(text);
+    if (!v) {
+        std::fprintf(stderr,
+                     "morphverify: option %s needs a non-negative"
+                     " integer\n",
+                     arg.c_str());
+        return false;
+    }
+    out = *v;
+    return true;
+}
+
 void
 usage()
 {
@@ -762,13 +779,18 @@ main(int argc, char **argv)
         } else if (arg == "--recovery") {
             recovery = true;
         } else if (arg == "--recovery-cuts" && i + 1 < argc) {
-            recovery_cuts = std::strtoull(argv[++i], nullptr, 10);
+            if (!countFlag(arg, argv[++i], recovery_cuts))
+                return 2;
         } else if (arg == "--recovery-accesses" && i + 1 < argc) {
-            recovery_accesses = std::strtoull(argv[++i], nullptr, 10);
+            if (!countFlag(arg, argv[++i], recovery_accesses))
+                return 2;
         } else if (arg == "--budget" && i + 1 < argc) {
-            budget = std::strtoull(argv[++i], nullptr, 10);
+            if (!countFlag(arg, argv[++i], budget))
+                return 2;
         } else if (arg == "--jobs" && i + 1 < argc) {
-            const long long v = std::atoll(argv[++i]);
+            std::uint64_t v = 0;
+            if (!countFlag(arg, argv[++i], v))
+                return 2;
             if (v < 1) {
                 std::fprintf(stderr,
                              "morphverify: --jobs needs a value"
