@@ -1,11 +1,9 @@
 /**
  * @file
- * Shared input/output types for the src/analysis batch analyzers
- * (morphflow's secret-flow/determinism engine and morphrace's
- * concurrency engine): one input file, one finding, one batch result.
- * Keeping them in one header pins the two tools to identical finding
- * semantics — same waiver behavior, same JSON artifact shape, same
- * exit-code contract (0 clean, 1 findings, 2 usage/IO error).
+ * Input/output types of the morphflow batch analyzer
+ * (src/analysis/flow_analyzer.hh): one input file, one finding, one
+ * batch result. The tool's JSON artifact and its exit-code contract
+ * (0 clean, 1 findings, 2 usage/IO error) are written from these.
  */
 
 #ifndef MORPH_ANALYSIS_FINDINGS_HH
@@ -22,11 +20,8 @@ struct SourceText
 {
     std::string path;
     std::string text;
-    /** morphflow: apply the nondet-call / nondet-iter rules here. */
+    /** Apply the nondet-call / nondet-iter rules here. */
     bool determinismScope = false;
-    /** morphrace: apply the race-naked-static rule here
-     *  (src/{common,sim,secmem} and explicit file arguments). */
-    bool staticScope = false;
 };
 
 /** One rule violation (or waived violation). */

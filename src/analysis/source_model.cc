@@ -11,7 +11,7 @@ namespace
 const char secretMarker[] = "MORPH_SECRET";
 
 /** All MORPH_* annotation macros share this prefix; anything carrying
- *  it is skipped as a qualifier and recorded as an annotation. */
+ *  it is skipped as a qualifier. */
 bool
 isAnnotationName(const std::string &s)
 {
@@ -74,9 +74,6 @@ class ModelBuilder
     run()
     {
         findFunctions();
-        findClasses();
-        scanMembers();
-        scanFileScopeDecls();
         scanDeclarations();
         scanUnorderedNames();
         scanFileWaivers();
@@ -219,7 +216,7 @@ class ModelBuilder
                 continue;
             }
             if (t[j].kind == Tok::Ident && isAnnotationName(s)) {
-                j = collectAnnotation(j, def.annotations) + 1;
+                j = skipAnnotation(j) + 1;
                 continue;
             }
             if (s == "noexcept" || s == "throw") {
@@ -295,6 +292,20 @@ class ModelBuilder
         return false;
     }
 
+    /** Skip the MORPH_* annotation at @p i; returns the last token
+     *  index it spans (the macro name, or its closing ')'). */
+    std::size_t
+    skipAnnotation(std::size_t i) const
+    {
+        const auto &t = toks();
+        if (i + 1 < t.size() && t[i + 1].text == "(") {
+            const std::size_t close = matchGroup(t, i + 1);
+            if (close < t.size())
+                return close;
+        }
+        return i;
+    }
+
     std::string
     qualifiedName(std::size_t i) const
     {
@@ -314,380 +325,6 @@ class ModelBuilder
             i -= 2;
         }
         return prefix;
-    }
-
-    /** Record the MORPH_* annotation at @p i into @p out; returns the
-     *  last token index consumed (macro name, or its closing ')'). */
-    std::size_t
-    collectAnnotation(std::size_t i, std::vector<Annotation> &out)
-    {
-        const auto &t = toks();
-        Annotation ann;
-        ann.macro = t[i].text;
-        ann.line = t[i].line;
-        std::size_t last = i;
-        if (i + 1 < t.size() && t[i + 1].text == "(") {
-            const std::size_t close = matchGroup(t, i + 1);
-            if (close < t.size()) {
-                splitArgs(i + 2, close, ann.args);
-                last = close;
-            }
-        }
-        out.push_back(std::move(ann));
-        return last;
-    }
-
-    /** Split [begin, end) on top-level commas; each argument's token
-     *  texts are joined with single spaces. */
-    void
-    splitArgs(std::size_t begin, std::size_t end,
-              std::vector<std::string> &args) const
-    {
-        const auto &t = toks();
-        std::string cur;
-        int depth = 0;
-        for (std::size_t j = begin; j < end; ++j) {
-            const std::string &s = t[j].text;
-            if (s == "(" || s == "[" || s == "{" || s == "<")
-                ++depth;
-            else if (s == ")" || s == "]" || s == "}" ||
-                     (s == ">" && depth > 0))
-                --depth;
-            if (s == "," && depth == 0) {
-                if (!cur.empty())
-                    args.push_back(cur);
-                cur.clear();
-                continue;
-            }
-            if (!cur.empty())
-                cur += ' ';
-            cur += s;
-        }
-        if (!cur.empty())
-            args.push_back(cur);
-    }
-
-    /** Index of the '>' closing the '<' at @p open (angle depth,
-     *  ">>" closes two); tokens.size() if unbalanced. */
-    std::size_t
-    skipAngles(std::size_t open) const
-    {
-        const auto &t = toks();
-        int depth = 0;
-        for (std::size_t j = open; j < t.size(); ++j) {
-            const std::string &s = t[j].text;
-            if (s == "<") {
-                ++depth;
-            } else if (s == ">") {
-                if (--depth == 0)
-                    return j;
-            } else if (s == ">>") {
-                depth -= 2;
-                if (depth <= 0)
-                    return j;
-            } else if (s == ";" || s == "{") {
-                break; // not a template argument list after all
-            }
-        }
-        return t.size();
-    }
-
-    void
-    findClasses()
-    {
-        const auto &t = toks();
-        // Stack of enclosing class bodies, for nested qualification.
-        std::vector<std::pair<std::size_t, std::string>> stack;
-        for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-            while (!stack.empty() && i > stack.back().first)
-                stack.pop_back();
-            const std::string &s = t[i].text;
-            if (s == "template" && t[i + 1].text == "<") {
-                // `template <class T>`: T is a parameter, not a class.
-                const std::size_t close = skipAngles(i + 1);
-                if (close < t.size())
-                    i = close;
-                continue;
-            }
-            if (s != "class" && s != "struct")
-                continue;
-            if (i > 0 && t[i - 1].text == "enum")
-                continue;
-            std::size_t j = i + 1;
-            // Attribute macros between the keyword and the name
-            // (class MORPH_CAPABILITY("mutex") Mutex).
-            std::vector<Annotation> anns;
-            while (j < t.size() && t[j].kind == Tok::Ident &&
-                   isAnnotationName(t[j].text))
-                j = collectAnnotation(j, anns) + 1;
-            if (j >= t.size() || t[j].kind != Tok::Ident)
-                continue; // anonymous — not modelled
-            const std::size_t name_idx = j;
-            ++j;
-            // Base clause / nothing, then the body; ';' = fwd decl.
-            while (j < t.size() && t[j].text != "{" &&
-                   t[j].text != ";" && t[j].text != "(" &&
-                   t[j].text != "=")
-                ++j;
-            if (j >= t.size() || t[j].text != "{")
-                continue;
-            const std::size_t body_end = matchGroup(t, j);
-            if (body_end >= t.size())
-                continue;
-            ClassDef def;
-            def.name = stack.empty()
-                           ? t[name_idx].text
-                           : stack.back().second +
-                                 "::" + t[name_idx].text;
-            def.bodyBegin = j;
-            def.bodyEnd = body_end;
-            def.line = t[name_idx].line;
-            stack.emplace_back(body_end, def.name);
-            model_.classes.push_back(std::move(def));
-            i = j; // continue inside the body: nested classes
-        }
-    }
-
-    /** The function claiming token @p idx, if any. */
-    const FunctionDef *
-    functionAt(std::size_t idx) const
-    {
-        for (const FunctionDef &f : model_.functions)
-            if (idx >= f.headerBegin && idx <= f.bodyEnd)
-                return &f;
-        return nullptr;
-    }
-
-    /** The class whose body opens exactly at @p idx, if any. */
-    const ClassDef *
-    classBodyAt(std::size_t idx) const
-    {
-        for (const ClassDef &c : model_.classes)
-            if (c.bodyBegin == idx)
-                return &c;
-        return nullptr;
-    }
-
-    void
-    scanMembers()
-    {
-        // Iterate by index: classifyStatement appends to the model.
-        const std::size_t count = model_.classes.size();
-        for (std::size_t c = 0; c < count; ++c) {
-            const ClassDef cls = model_.classes[c];
-            scanStatements(cls.bodyBegin + 1, cls.bodyEnd, cls.name);
-        }
-    }
-
-    void
-    scanFileScopeDecls()
-    {
-        scanStatements(0, toks().size(), std::string());
-    }
-
-    /** Walk declaration statements in [begin, end): the member level
-     *  of a class body (@p klass non-empty) or file scope. Function
-     *  definitions and nested class bodies are skipped whole;
-     *  namespace blocks are entered. */
-    void
-    scanStatements(std::size_t begin, std::size_t end,
-                   const std::string &klass)
-    {
-        const auto &t = toks();
-        const bool file_scope = klass.empty();
-        std::size_t i = begin;
-        std::size_t stmt = begin;
-        while (i < end) {
-            if (const FunctionDef *f = functionAt(i)) {
-                i = f->bodyEnd + 1;
-                stmt = i;
-                continue;
-            }
-            const std::string &s = t[i].text;
-            if (s == "{") {
-                if (const ClassDef *cd = classBodyAt(i)) {
-                    // Nested class: members get their own pass; the
-                    // statement ends at the trailing ';' and is
-                    // dropped by the starts-with-class filter.
-                    i = cd->bodyEnd + 1;
-                    continue;
-                }
-                if (file_scope &&
-                    stmtStartsWith(stmt, i, "namespace")) {
-                    ++i;
-                    stmt = i;
-                    continue;
-                }
-                i = matchGroup(t, i) + 1; // brace init / enum body
-                continue;
-            }
-            if (s == "}") {
-                ++i;
-                stmt = i;
-                continue;
-            }
-            if (s == "(" || s == "[") {
-                i = matchGroup(t, i) + 1;
-                continue;
-            }
-            if (s == ";") {
-                classifyStatement(stmt, i, klass);
-                ++i;
-                stmt = i;
-                continue;
-            }
-            if (s == ":" && !file_scope && i > begin &&
-                (t[i - 1].text == "public" ||
-                 t[i - 1].text == "private" ||
-                 t[i - 1].text == "protected")) {
-                ++i;
-                stmt = i; // access specifier resets the statement
-                continue;
-            }
-            ++i;
-        }
-    }
-
-    bool
-    stmtStartsWith(std::size_t stmt, std::size_t at,
-                   const char *kw) const
-    {
-        return stmt < at && toks()[stmt].text == kw;
-    }
-
-    /** Classify one declaration statement: function declaration
-     *  (record its annotations) or variable declaration (record a
-     *  VarDecl). Statements the shape cannot be trusted on are
-     *  dropped — the concurrency rules only consume declarations
-     *  whose annotations or storage class single them out. */
-    void
-    classifyStatement(std::size_t begin, std::size_t end,
-                      const std::string &klass)
-    {
-        const auto &t = toks();
-        while (begin < end &&
-               (t[begin].text == "public" ||
-                t[begin].text == "private" ||
-                t[begin].text == "protected" ||
-                t[begin].text == ":"))
-            ++begin;
-        if (begin >= end)
-            return;
-        static const char *const dropped[] = {
-            "using",   "typedef", "friend",  "template",
-            "static_assert",      "namespace", "class",  "struct",
-            "enum",    "union",   "extern",  "return",  "if",
-            "for",     "while",   "switch",  "do",      "case",
-            "break",   "continue", "goto",   "throw",   "delete",
-            "default", "operator",
-        };
-        const std::string &first = t[begin].text;
-        if (std::any_of(std::begin(dropped), std::end(dropped),
-                        [&](const char *k) { return first == k; }))
-            return;
-
-        std::vector<Annotation> anns;
-        const std::size_t none = end;
-        std::size_t first_ann = none, assign = none, paren = none,
-                    brace = none;
-        int angle = 0;
-        for (std::size_t j = begin; j < end; ++j) {
-            const std::string &s = t[j].text;
-            if (t[j].kind == Tok::Ident && isAnnotationName(s)) {
-                if (first_ann == none)
-                    first_ann = j;
-                j = collectAnnotation(j, anns);
-                continue;
-            }
-            if (s == "<") {
-                ++angle;
-            } else if (s == ">") {
-                if (angle > 0)
-                    --angle;
-            } else if (s == ">>") {
-                angle = angle >= 2 ? angle - 2 : 0;
-            } else if (angle == 0) {
-                if (s == "(") {
-                    if (paren == none && assign == none)
-                        paren = j;
-                    j = matchGroup(t, j);
-                    continue;
-                }
-                if (s == "[" || s == "{") {
-                    if (s == "{" && brace == none)
-                        brace = j;
-                    j = matchGroup(t, j);
-                    continue;
-                }
-                if (s == "=" && assign == none) {
-                    // `operator=` is part of a function name.
-                    if (j > begin && t[j - 1].text == "operator")
-                        continue;
-                    assign = j;
-                }
-            }
-        }
-
-        if (paren != none && paren < assign) {
-            // Function declaration: only its annotations matter.
-            if (anns.empty())
-                return;
-            FunctionAnnotations fa;
-            fa.name = declaratorName(t, begin, paren);
-            fa.line = t[begin].line;
-            fa.annotations = std::move(anns);
-            if (!fa.name.empty())
-                model_.fnAnnotations.push_back(std::move(fa));
-            return;
-        }
-
-        VarDecl v;
-        v.klass = klass;
-        const std::size_t name_end =
-            std::min(std::min(first_ann, assign), brace);
-        v.name = declaratorName(t, begin, std::min(name_end, end));
-        if (v.name.empty())
-            return;
-        std::size_t last_const = 0, last_star = 0;
-        bool saw_const = false, saw_star = false;
-        for (std::size_t j = begin; j < std::min(name_end, end);
-             ++j) {
-            const std::string &s = t[j].text;
-            if (s == "static") {
-                v.isStatic = true;
-            } else if (s == "thread_local") {
-                v.isThreadLocal = true;
-            } else if (s == "constexpr" || s == "consteval") {
-                v.isConst = true;
-            } else if (s == "const") {
-                saw_const = true;
-                last_const = j;
-            } else if (s == "*") {
-                saw_star = true;
-                last_star = j;
-            }
-            if (t[j].kind == Tok::Ident && s != v.name &&
-                !isAnnotationName(s)) {
-                if (!v.typeText.empty())
-                    v.typeText += ' ';
-                v.typeText += s;
-            }
-        }
-        // `const char *p` is a mutable pointer; `char *const p` and
-        // plain `const T v` are immutable: the const that counts is
-        // the one right of the last '*'.
-        if (saw_const && (!saw_star || last_const > last_star))
-            v.isConst = true;
-        v.line = t[begin].line;
-        v.annotations = std::move(anns);
-        const bool file_scope = klass.empty();
-        // File scope only models the declarations the rules consume:
-        // static / thread_local storage, annotated names, and
-        // initialized definitions (anonymous-namespace globals).
-        if (file_scope && !v.isStatic && !v.isThreadLocal &&
-            v.annotations.empty() && assign == none)
-            return;
-        model_.varDecls.push_back(std::move(v));
     }
 
     /** First token of the declaration containing the name at @p i. */

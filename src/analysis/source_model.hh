@@ -1,12 +1,9 @@
 /**
  * @file
- * Per-file structural model for the morphflow and morphrace
- * analyzers: function definitions with their parameter lists, body
- * token ranges and MORPH_* annotations; class/struct definitions
- * (including nested ones) with their data-member declarations; and
+ * Per-file structural model for the morphflow analyzer: function
+ * definitions with their parameter lists and body token ranges, and
  * the declaration scans the rules need (MORPH_SECRET-annotated names,
- * names declared with unordered-container types, GUARDED_BY /
- * SHARD_LOCAL / MAIN_THREAD concurrency annotations).
+ * names declared with unordered-container types, file-wide waivers).
  *
  * Function extraction is a brace/paren matcher, not a parser: a
  * definition is an identifier (or `operator` followed by its symbol)
@@ -39,14 +36,6 @@ struct Param
     bool secret = false; ///< declared with MORPH_SECRET
 };
 
-/** One MORPH_* annotation attached to a declaration. */
-struct Annotation
-{
-    std::string macro;             ///< e.g. "MORPH_GUARDED_BY"
-    std::vector<std::string> args; ///< raw text per argument
-    unsigned line = 0;
-};
-
 /** One function definition found in a source file. */
 struct FunctionDef
 {
@@ -54,44 +43,10 @@ struct FunctionDef
     std::string qualName;        ///< as written, e.g. "Aes128::encrypt"
     bool secretReturn = false;   ///< MORPH_SECRET in the return type
     std::vector<Param> params;
-    std::vector<Annotation> annotations; ///< between params and body
     std::size_t headerBegin = 0; ///< token index of the name
     std::size_t bodyBegin = 0;   ///< token index of the opening '{'
     std::size_t bodyEnd = 0;     ///< token index of the closing '}'
     unsigned line = 0;           ///< line of the name token
-};
-
-/** One class/struct definition (including nested ones). */
-struct ClassDef
-{
-    std::string name;        ///< qualified by outer classes
-    std::size_t bodyBegin = 0; ///< token index of the opening '{'
-    std::size_t bodyEnd = 0;   ///< token index of the closing '}'
-    unsigned line = 0;
-};
-
-/** A data-member or namespace-scope variable declaration. Class
- *  members are always modelled; file-scope variables only when they
- *  are static / thread_local or carry a MORPH_* annotation (the cases
- *  the concurrency rules care about). */
-struct VarDecl
-{
-    std::string klass;    ///< enclosing class, "" at file scope
-    std::string name;
-    std::string typeText; ///< identifier tokens left of the name
-    unsigned line = 0;
-    bool isStatic = false;
-    bool isConst = false;       ///< const/constexpr value
-    bool isThreadLocal = false;
-    std::vector<Annotation> annotations;
-};
-
-/** MORPH_* annotations on a function declaration (no body). */
-struct FunctionAnnotations
-{
-    std::string name; ///< unqualified function name
-    unsigned line = 0;
-    std::vector<Annotation> annotations;
 };
 
 /** A declaration outside any function body carrying MORPH_SECRET. */
@@ -107,9 +62,6 @@ struct SourceModel
 {
     const LexedSource *src = nullptr;
     std::vector<FunctionDef> functions;
-    std::vector<ClassDef> classes;       ///< incl. nested, in order
-    std::vector<VarDecl> varDecls;       ///< members + flagged globals
-    std::vector<FunctionAnnotations> fnAnnotations; ///< decl-site
     std::vector<SecretDecl> secretDecls; ///< members/globals/statics
     /** Names declared (anywhere in the file) with a type mentioning
      *  std::unordered_map / std::unordered_set. */

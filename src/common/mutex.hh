@@ -8,8 +8,7 @@
  * checking it. morph::Mutex is a zero-cost wrapper that IS a clang
  * capability; LockGuard/UniqueLock are the matching scoped holders.
  * Everything inlines to the std primitives — the wrappers exist only
- * to carry annotations for clang TSA and recognizable acquisition
- * shapes for morphrace.
+ * to carry annotations for clang TSA.
  *
  * UniqueLock deliberately supports only the protocol RunPool needs:
  * construct-locked, wait on a condition_variable_any, unlock early.

@@ -32,8 +32,8 @@
  * The pool is not reentrant: one forEach() session at a time, driven
  * from one thread. Tasks must not call back into the same pool.
  *
- * Locking discipline (machine-checked by morphrace and, under clang,
- * by -Wthread-safety — see docs/CONCURRENCY.md): session state is
+ * Locking discipline (checked by clang's -Wthread-safety and at run
+ * time by TSan — see docs/CONCURRENCY.md): session state is
  * guarded by lock_, each shard's deque by its own Shard::lock, and
  * the only nested acquisition is lock_ -> Shard::lock (dealing tasks
  * in forEach), so the acquisition graph is acyclic by construction.

@@ -200,9 +200,9 @@ Aes128::dispatched()
 {
     // Resolved exactly once per process (thread-safe magic-static
     // init); const thereafter, so there is no mutable dispatch state
-    // for morphrace's race-naked-static rule to object to. The env
-    // override is read at latch time only — flipping it later in the
-    // same process has no effect (docs/PERFORMANCE.md).
+    // for two threads to race on. The env override is read at latch
+    // time only — flipping it later in the same process has no effect
+    // (docs/PERFORMANCE.md).
     static const AesImpl resolved = [] {
         const char *force = std::getenv("MORPH_FORCE_PORTABLE_AES");
         const bool forced = force != nullptr && force[0] != '\0' &&

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the morphflow analysis library (src/analysis): the
- * tokenizer, the per-file structural model, and the interprocedural
- * secret-flow / determinism rules the morphflow tool enforces.
+ * tokenizer, the per-file structural model, the interprocedural
+ * secret-flow / determinism rules the morphflow tool enforces, and the
+ * lex cache its batch loader shares.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "analysis/flow_analyzer.hh"
+#include "analysis/lex_cache.hh"
 #include "analysis/lexer.hh"
 #include "analysis/source_model.hh"
 
@@ -385,6 +387,34 @@ TEST(FlowRules, FindingsAreSortedAndDeduplicated)
         EXPECT_FALSE(a.line == b.line && a.rule == b.rule &&
                      a.symbol == b.symbol);
     }
+}
+
+// ---- lex cache ------------------------------------------------------
+
+TEST(LexCacheTest, SecondAnalysisHitsTheCache)
+{
+    std::vector<SourceText> sources(1);
+    sources[0].path = "cached.cc";
+    sources[0].text = "int f(int x) { return x + 1; }\n";
+    LexCache cache;
+    analyzeSources(sources, &cache);
+    EXPECT_EQ(cache.entries(), 1u);
+    EXPECT_EQ(cache.hits(), 0u);
+    analyzeSources(sources, &cache);
+    EXPECT_EQ(cache.entries(), 1u);
+    EXPECT_EQ(cache.hits(), 1u);
+}
+
+TEST(LexCacheTest, DuplicateBatchEntriesLexOnce)
+{
+    std::vector<SourceText> sources(2);
+    sources[0].path = "dup.cc";
+    sources[0].text = "int x = 1;\n";
+    sources[1] = sources[0];
+    LexCache cache;
+    analyzeSources(sources, &cache);
+    EXPECT_EQ(cache.entries(), 1u);
+    EXPECT_EQ(cache.hits(), 1u);
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for the structural source model (src/analysis): the
- * parser-shape edge cases both analyzers lean on — raw strings,
- * multi-line macro invocations, nested classes, operator overloads —
- * plus the member / annotation extraction morphrace is built from.
+ * parser-shape edge cases morphflow leans on — raw strings, operator
+ * overloads, MORPH_* annotations between a definition's parameters
+ * and its body.
  */
 
 #include <gtest/gtest.h>
@@ -34,15 +34,6 @@ findFn(const SourceModel &m, const std::string &name)
     return nullptr;
 }
 
-const VarDecl *
-findVar(const SourceModel &m, const std::string &name)
-{
-    for (const VarDecl &v : m.varDecls)
-        if (v.name == name)
-            return &v;
-    return nullptr;
-}
-
 // ---- raw strings ----------------------------------------------------
 
 TEST(SourceModel, RawStringBracesDoNotBreakBodies)
@@ -70,75 +61,6 @@ TEST(SourceModel, RawStringIsOneToken)
     ASSERT_NE(str, src.tokens.end());
 }
 
-// ---- multi-line macro invocations ------------------------------------
-
-TEST(SourceModel, MultiLineAnnotationInvocation)
-{
-    // An annotation argument list spanning lines still parses, and
-    // the annotation line is where the macro name appears.
-    const LexedSource src = lex("t.cc", "class C {\n"
-                                        "    int v\n"
-                                        "        MORPH_GUARDED_BY(\n"
-                                        "            mu_);\n"
-                                        "    Mutex mu_;\n"
-                                        "};\n");
-    const SourceModel m = modelOf(src);
-    const VarDecl *v = findVar(m, "v");
-    ASSERT_NE(v, nullptr);
-    ASSERT_EQ(v->annotations.size(), 1u);
-    EXPECT_EQ(v->annotations[0].macro, "MORPH_GUARDED_BY");
-    ASSERT_EQ(v->annotations[0].args.size(), 1u);
-    EXPECT_EQ(v->annotations[0].args[0], "mu_");
-    EXPECT_EQ(v->annotations[0].line, 3u);
-}
-
-TEST(SourceModel, MultiLineFunctionAnnotation)
-{
-    const LexedSource src =
-        lex("t.cc", "class C {\n"
-                    "    void flush()\n"
-                    "        MORPH_REQUIRES(lock_,\n"
-                    "                       other_);\n"
-                    "};\n");
-    const SourceModel m = modelOf(src);
-    ASSERT_EQ(m.fnAnnotations.size(), 1u);
-    EXPECT_EQ(m.fnAnnotations[0].name, "flush");
-    ASSERT_EQ(m.fnAnnotations[0].annotations.size(), 1u);
-    ASSERT_EQ(m.fnAnnotations[0].annotations[0].args.size(), 2u);
-    EXPECT_EQ(m.fnAnnotations[0].annotations[0].args[0], "lock_");
-    EXPECT_EQ(m.fnAnnotations[0].annotations[0].args[1], "other_");
-}
-
-// ---- nested classes --------------------------------------------------
-
-TEST(SourceModel, NestedClassesQualifyMembers)
-{
-    const LexedSource src = lex("t.cc", "class Outer {\n"
-                                        "    struct Inner {\n"
-                                        "        int depth;\n"
-                                        "    };\n"
-                                        "    int width;\n"
-                                        "};\n");
-    const SourceModel m = modelOf(src);
-    ASSERT_EQ(m.classes.size(), 2u);
-    EXPECT_EQ(m.classes[0].name, "Outer");
-    EXPECT_EQ(m.classes[1].name, "Outer::Inner");
-    const VarDecl *depth = findVar(m, "depth");
-    ASSERT_NE(depth, nullptr);
-    EXPECT_EQ(depth->klass, "Outer::Inner");
-    const VarDecl *width = findVar(m, "width");
-    ASSERT_NE(width, nullptr);
-    EXPECT_EQ(width->klass, "Outer");
-}
-
-TEST(SourceModel, EnumClassIsNotAClass)
-{
-    const LexedSource src =
-        lex("t.cc", "enum class Color { kRed, kBlue };\n");
-    const SourceModel m = modelOf(src);
-    EXPECT_TRUE(m.classes.empty());
-}
-
 // ---- operator overloads ----------------------------------------------
 
 TEST(SourceModel, OperatorOverloadsAreShaped)
@@ -155,88 +77,22 @@ TEST(SourceModel, OperatorOverloadsAreShaped)
     EXPECT_NE(findFn(m, "operator=="), nullptr);
     EXPECT_NE(findFn(m, "operator[]"), nullptr);
     EXPECT_NE(findFn(m, "operator()"), nullptr);
-    // The operator bodies must not swallow the trailing member.
-    EXPECT_NE(findVar(m, "x"), nullptr);
-}
-
-TEST(SourceModel, AssignmentOperatorIsNotAVarDecl)
-{
-    const LexedSource src =
-        lex("t.cc", "struct S {\n"
-                    "    S &operator=(const S &o);\n"
-                    "    int member;\n"
-                    "};\n");
-    const SourceModel m = modelOf(src);
-    EXPECT_EQ(findVar(m, "o"), nullptr);
-    EXPECT_NE(findVar(m, "member"), nullptr);
-}
-
-// ---- member / annotation extraction ------------------------------------
-
-TEST(SourceModel, MemberFlags)
-{
-    const LexedSource src =
-        lex("t.cc", "class C {\n"
-                    "    static constexpr unsigned kMax = 8;\n"
-                    "    static unsigned counter_;\n"
-                    "    const char *label_;\n"
-                    "    char *const pin_;\n"
-                    "    std::atomic<int> refs_;\n"
-                    "};\n");
-    const SourceModel m = modelOf(src);
-    const VarDecl *k = findVar(m, "kMax");
-    ASSERT_NE(k, nullptr);
-    EXPECT_TRUE(k->isStatic);
-    EXPECT_TRUE(k->isConst);
-    const VarDecl *c = findVar(m, "counter_");
-    ASSERT_NE(c, nullptr);
-    EXPECT_TRUE(c->isStatic);
-    EXPECT_FALSE(c->isConst);
-    // Pointer-to-const is a mutable pointer; const pointer is const.
-    const VarDecl *label = findVar(m, "label_");
-    ASSERT_NE(label, nullptr);
-    EXPECT_FALSE(label->isConst);
-    const VarDecl *pin = findVar(m, "pin_");
-    ASSERT_NE(pin, nullptr);
-    EXPECT_TRUE(pin->isConst);
-    const VarDecl *refs = findVar(m, "refs_");
-    ASSERT_NE(refs, nullptr);
-    EXPECT_NE(refs->typeText.find("atomic"), std::string::npos);
-}
-
-TEST(SourceModel, FileScopeRecordsOnlyInterestingDecls)
-{
-    const LexedSource src =
-        lex("t.cc", "int forwardDecl;\n"
-                    "static unsigned g_count = 0;\n"
-                    "thread_local int t_depth = 0;\n"
-                    "int g_init = 3;\n");
-    const SourceModel m = modelOf(src);
-    // Uninitialized, unannotated, non-static decls stay unmodelled
-    // (they are usually extern forward declarations).
-    EXPECT_EQ(findVar(m, "forwardDecl"), nullptr);
-    const VarDecl *g = findVar(m, "g_count");
-    ASSERT_NE(g, nullptr);
-    EXPECT_TRUE(g->isStatic);
-    const VarDecl *t = findVar(m, "t_depth");
-    ASSERT_NE(t, nullptr);
-    EXPECT_TRUE(t->isThreadLocal);
-    EXPECT_NE(findVar(m, "g_init"), nullptr);
 }
 
 TEST(SourceModel, DefinitionSiteAnnotations)
 {
+    // An annotation group between the parameters and the body (even
+    // one spanning lines) is skipped: the body still starts at '{'.
     const LexedSource src =
-        lex("t.cc", "void drainAll() MORPH_EXCLUDES(lock_)\n"
+        lex("t.cc", "void drainAll() MORPH_EXCLUDES(lock_,\n"
+                    "                               other_)\n"
                     "{\n"
                     "}\n");
     const SourceModel m = modelOf(src);
     const FunctionDef *f = findFn(m, "drainAll");
     ASSERT_NE(f, nullptr);
-    ASSERT_EQ(f->annotations.size(), 1u);
-    EXPECT_EQ(f->annotations[0].macro, "MORPH_EXCLUDES");
-    ASSERT_EQ(f->annotations[0].args.size(), 1u);
-    EXPECT_EQ(f->annotations[0].args[0], "lock_");
+    EXPECT_EQ(src.tokens[f->bodyBegin].text, "{");
+    EXPECT_EQ(src.tokens[f->bodyBegin].line, 3u);
 }
 
 } // namespace

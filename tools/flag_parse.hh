@@ -11,6 +11,7 @@
 
 #include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
 
@@ -30,6 +31,22 @@ parseCount(const char *text)
     if (*end != '\0' || errno == ERANGE)
         return std::nullopt;
     return std::uint64_t(v);
+}
+
+/** parseCount(@p text) as the value of flag @p flag; on bad input,
+ *  report "<tool>: option <flag> needs a non-negative integer" and
+ *  exit 2 (the tools' bad-flag code). */
+inline std::uint64_t
+requireCount(const char *tool, const char *flag, const char *text)
+{
+    const std::optional<std::uint64_t> v = parseCount(text);
+    if (!v) {
+        std::fprintf(stderr,
+                     "%s: option %s needs a non-negative integer\n",
+                     tool, flag);
+        std::exit(2);
+    }
+    return *v;
 }
 
 } // namespace morph

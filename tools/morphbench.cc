@@ -54,6 +54,7 @@
 #include "common/mutex.hh"
 #include "common/prof.hh"
 #include "common/run_pool.hh"
+#include "flag_parse.hh"
 #include "kernels.hh"
 #include "sim/simulator.hh"
 
@@ -542,11 +543,12 @@ main(int argc, char **argv)
         } else if (arg == "--rev") {
             rev = value();
         } else if (arg == "--accesses") {
-            accesses = std::uint64_t(std::atoll(value()));
+            accesses = requireCount("morphbench", arg.c_str(), value());
         } else if (arg == "--warmup") {
-            warmup = std::uint64_t(std::atoll(value()));
+            warmup = requireCount("morphbench", arg.c_str(), value());
         } else if (arg == "--jobs") {
-            const long long v = std::atoll(value());
+            const std::uint64_t v =
+                requireCount("morphbench", arg.c_str(), value());
             if (v < 1) {
                 std::fprintf(stderr,
                              "morphbench: --jobs needs a value >= 1\n");

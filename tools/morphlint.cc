@@ -65,6 +65,7 @@
 #include "counters/mcr_codec.hh"
 #include "counters/split_counter.hh"
 #include "counters/zcc_codec.hh"
+#include "flag_parse.hh"
 #include "integrity/tree_config.hh"
 #include "integrity/tree_geometry.hh"
 #include "sim/system.hh"
@@ -888,6 +889,7 @@ usage()
 int
 main(int argc, char **argv)
 {
+    constexpr std::uint64_t maxMemGb = ~std::uint64_t(0) >> 30;
     std::vector<std::string> configs;
     std::uint64_t mem_gb = 16;
     bool quiet = false;
@@ -895,7 +897,15 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--mem-gb" && i + 1 < argc) {
-            mem_gb = std::strtoull(argv[++i], nullptr, 10);
+            mem_gb = requireCount("morphlint", arg.c_str(), argv[++i]);
+            // The geometry checks take bytes: mem_gb << 30 must fit.
+            if (mem_gb == 0 || mem_gb > maxMemGb) {
+                std::fprintf(stderr,
+                             "morphlint: option --mem-gb needs a value"
+                             " from 1 to %" PRIu64 "\n",
+                             maxMemGb);
+                return 2;
+            }
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--help" || arg == "-h") {

@@ -491,17 +491,17 @@ main(int argc, char **argv)
                                             double(1ull << 30));
         } else if (arg == "--cache-kb") {
             secmem.metadataCacheBytes =
-                std::size_t(std::atoll(value())) * 1024;
+                std::size_t(countFlag(arg, value())) * 1024;
         } else if (arg == "--accesses") {
-            options.accessesPerCore = std::uint64_t(std::atoll(value()));
+            options.accessesPerCore = countFlag(arg, value());
         } else if (arg == "--warmup") {
-            options.warmupPerCore = std::uint64_t(std::atoll(value()));
+            options.warmupPerCore = countFlag(arg, value());
         } else if (arg == "--scale") {
             options.footprintScale = std::atof(value());
         } else if (arg == "--seed") {
-            options.seed = std::uint64_t(std::atoll(value()));
+            options.seed = countFlag(arg, value());
         } else if (arg == "--timing") {
-            options.timing = std::atoi(value()) != 0;
+            options.timing = countFlag(arg, value()) != 0;
         } else if (arg == "--separate-macs") {
             secmem.inlineMacs = false;
         } else if (arg == "--persist") {

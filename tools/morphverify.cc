@@ -685,23 +685,6 @@ runRecoveryCase(const RecoveryCase &c, bool quiet)
 // Driver
 // ---------------------------------------------------------------------
 
-/** Parse @p text as the count value of flag @p arg; on junk or
- *  negative input, report it and return false (exit 2). */
-bool
-countFlag(const std::string &arg, const char *text, std::uint64_t &out)
-{
-    const std::optional<std::uint64_t> v = parseCount(text);
-    if (!v) {
-        std::fprintf(stderr,
-                     "morphverify: option %s needs a non-negative"
-                     " integer\n",
-                     arg.c_str());
-        return false;
-    }
-    out = *v;
-    return true;
-}
-
 void
 usage()
 {
@@ -779,18 +762,17 @@ main(int argc, char **argv)
         } else if (arg == "--recovery") {
             recovery = true;
         } else if (arg == "--recovery-cuts" && i + 1 < argc) {
-            if (!countFlag(arg, argv[++i], recovery_cuts))
-                return 2;
+            recovery_cuts =
+                requireCount("morphverify", arg.c_str(), argv[++i]);
         } else if (arg == "--recovery-accesses" && i + 1 < argc) {
-            if (!countFlag(arg, argv[++i], recovery_accesses))
-                return 2;
+            recovery_accesses =
+                requireCount("morphverify", arg.c_str(), argv[++i]);
         } else if (arg == "--budget" && i + 1 < argc) {
-            if (!countFlag(arg, argv[++i], budget))
-                return 2;
+            budget =
+                requireCount("morphverify", arg.c_str(), argv[++i]);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            std::uint64_t v = 0;
-            if (!countFlag(arg, argv[++i], v))
-                return 2;
+            const std::uint64_t v =
+                requireCount("morphverify", arg.c_str(), argv[++i]);
             if (v < 1) {
                 std::fprintf(stderr,
                              "morphverify: --jobs needs a value"
