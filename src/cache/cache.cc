@@ -1,5 +1,9 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+#include <bit>
+
+#include "common/check.hh"
 #include "common/log.hh"
 
 namespace morph
@@ -13,126 +17,153 @@ Cache::Cache(std::size_t size_bytes, unsigned ways) : ways_(ways)
               "lines", size_bytes, ways);
     }
     numSets_ = size_bytes / (std::size_t(ways) * lineBytes);
-    lines_.resize(numSets_ * ways_);
+    pow2Sets_ = std::has_single_bit(numSets_);
+    setMask_ = LineAddr(numSets_ - 1);
+    slots_.resize(numSets_ * 2 * ways_);
+    dirty_.resize(numSets_ * ways_);
+    flush();
 }
 
-Cache::Way *
-Cache::find(LineAddr line)
+Cache::Probe
+Cache::probe(std::size_t set, LineAddr line) const
 {
-    Way *base = &lines_[setOf(line) * ways_];
-    for (unsigned w = 0; w < ways_; ++w)
-        if (base[w].valid && base[w].line == line)
-            return &base[w];
-    return nullptr;
-}
-
-const Cache::Way *
-Cache::find(LineAddr line) const
-{
-    const Way *base = &lines_[setOf(line) * ways_];
-    for (unsigned w = 0; w < ways_; ++w)
-        if (base[w].valid && base[w].line == line)
-            return &base[w];
-    return nullptr;
-}
-
-bool
-Cache::access(LineAddr line, bool write)
-{
-    Way *way = find(line);
-    if (way) {
-        way->lastUse = ++useClock_;
-        way->dirty = way->dirty || write;
-        ++stats_.hits;
-        return true;
+    MORPH_DCHECK(line != invalidTag);
+    const LineAddr *tags = tagsOf(set);
+    const std::uint64_t *stamps = stampsOf(set);
+    // One pass for both answers: the matching way (tags in a set are
+    // distinct) and the first way with the smallest stamp.
+    Probe p{ways_, 0};
+    std::uint64_t oldest = ~std::uint64_t(0);
+    for (unsigned w = 0; w < ways_; ++w) {
+        p.hit = tags[w] == line ? w : p.hit;
+        const bool older = stamps[w] < oldest;
+        p.victim = older ? w : p.victim;
+        oldest = older ? stamps[w] : oldest;
     }
-    ++stats_.misses;
-    return false;
+    return p;
 }
 
-bool
-Cache::contains(LineAddr line) const
+void
+Cache::touch(std::size_t set, unsigned way, bool dirty)
 {
-    return find(line) != nullptr;
+    stampsOf(set)[way] = ++clock_;
+    dirtyOf(set)[way] |= std::uint8_t(dirty);
 }
 
 std::optional<Eviction>
-Cache::insert(LineAddr line, bool dirty, InsertPosition position)
+Cache::fill(std::size_t set, unsigned way, LineAddr line, bool dirty,
+            InsertPosition position)
 {
-    if (Way *hit = find(line)) {
-        hit->lastUse = ++useClock_;
-        hit->dirty = hit->dirty || dirty;
-        return std::nullopt;
-    }
-
-    Way *base = &lines_[setOf(line) * ways_];
-    Way *victim = &base[0];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (base[w].lastUse < victim->lastUse)
-            victim = &base[w];
-    }
+    LineAddr *tags = tagsOf(set);
+    std::uint64_t *stamps = stampsOf(set);
+    std::uint8_t *dirt = dirtyOf(set);
 
     std::optional<Eviction> evicted;
-    if (victim->valid) {
-        evicted = Eviction{victim->line, victim->dirty};
+    if (stamps[way] != 0) {
+        evicted = Eviction{tags[way], dirt[way] != 0};
         ++stats_.evictions;
-        if (victim->dirty)
-            ++stats_.dirtyEvictions;
+        stats_.dirtyEvictions += dirt[way];
     }
 
-    victim->line = line;
-    victim->valid = true;
-    victim->dirty = dirty;
+    tags[way] = line;
+    dirt[way] = std::uint8_t(dirty);
     if (position == InsertPosition::Mru) {
-        victim->lastUse = ++useClock_;
+        stamps[way] = ++clock_;
     } else {
-        // Demoted insertion: place below every valid way in the set.
-        Way *base2 = &lines_[setOf(line) * ways_];
+        // Demoted insertion: one below every other valid way of the
+        // set, floored at the lowest valid stamp, 1. Empty ways hold
+        // stamp 0, which the "- 1" wraps past every valid stamp.
         std::uint64_t lowest = ~std::uint64_t(0);
-        for (unsigned w = 0; w < ways_; ++w) {
-            if (base2[w].valid && &base2[w] != victim)
-                lowest = std::min(lowest, base2[w].lastUse);
-        }
-        victim->lastUse = lowest == ~std::uint64_t(0) || lowest == 0
-                              ? 0
-                              : lowest - 1;
+        for (unsigned w = 0; w < ways_; ++w)
+            if (w != way)
+                lowest = std::min(lowest, stamps[w] - 1);
+        stamps[way] = lowest == ~std::uint64_t(0) || lowest == 0
+                          ? 1
+                          : lowest;
     }
     return evicted;
 }
 
 bool
+Cache::access(LineAddr line, bool write)
+{
+    const std::size_t set = setOf(line);
+    const unsigned way = probe(set, line).hit;
+    if (way == ways_) {
+        ++stats_.misses;
+        return false;
+    }
+    touch(set, way, write);
+    ++stats_.hits;
+    return true;
+}
+
+bool
+Cache::contains(LineAddr line) const
+{
+    return probe(setOf(line), line).hit != ways_;
+}
+
+std::optional<Eviction>
+Cache::insert(LineAddr line, bool dirty, InsertPosition position)
+{
+    const std::size_t set = setOf(line);
+    const Probe p = probe(set, line);
+    if (p.hit != ways_) {
+        touch(set, p.hit, dirty);
+        return std::nullopt;
+    }
+    return fill(set, p.victim, line, dirty, position);
+}
+
+CacheFill
+Cache::accessOrInsert(LineAddr line, bool write, InsertPosition position)
+{
+    const std::size_t set = setOf(line);
+    const Probe p = probe(set, line);
+    if (p.hit != ways_) {
+        touch(set, p.hit, write);
+        ++stats_.hits;
+        return {true, std::nullopt};
+    }
+    ++stats_.misses;
+    return {false, fill(set, p.victim, line, write, position)};
+}
+
+bool
 Cache::markDirty(LineAddr line)
 {
-    if (Way *way = find(line)) {
-        way->dirty = true;
-        return true;
-    }
-    return false;
+    const std::size_t set = setOf(line);
+    const unsigned way = probe(set, line).hit;
+    if (way == ways_)
+        return false;
+    dirtyOf(set)[way] = 1;
+    return true;
 }
 
 std::optional<Eviction>
 Cache::invalidate(LineAddr line)
 {
-    if (Way *way = find(line)) {
-        const Eviction ev{way->line, way->dirty};
-        way->valid = false;
-        way->dirty = false;
-        return ev;
-    }
-    return std::nullopt;
+    const std::size_t set = setOf(line);
+    const unsigned way = probe(set, line).hit;
+    if (way == ways_)
+        return std::nullopt;
+    std::uint8_t &dirty = dirtyOf(set)[way];
+    const Eviction ev{line, dirty != 0};
+    tagsOf(set)[way] = invalidTag;
+    stampsOf(set)[way] = 0;
+    dirty = 0;
+    return ev;
 }
 
 void
 Cache::flush()
 {
-    for (auto &way : lines_) {
-        way.valid = false;
-        way.dirty = false;
+    for (std::size_t set = 0; set < numSets_; ++set) {
+        std::fill_n(tagsOf(set), ways_, invalidTag);
+        std::fill_n(stampsOf(set), ways_, 0);
     }
+    std::fill(dirty_.begin(), dirty_.end(), 0);
 }
 
 } // namespace morph

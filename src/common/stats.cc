@@ -1,6 +1,8 @@
 #include "common/stats.hh"
 
 #include <algorithm>
+#include <bit>
+
 #include "common/check.hh"
 
 namespace morph
@@ -92,12 +94,10 @@ ExpHistogram::ExpHistogram(unsigned buckets) : buckets_(buckets, 0)
 void
 ExpHistogram::record(std::uint64_t sample, std::uint64_t weight)
 {
-    unsigned idx = 0;
-    if (sample > 0) {
-        idx = 1;
-        while (idx + 1 < buckets_.size() && sample >= (1ull << idx))
-            ++idx;
-    }
+    // Bucket i >= 1 holds [2^(i-1), 2^i): that is bit_width(sample),
+    // which is also 0 for sample 0.
+    const std::size_t idx =
+        std::min<std::size_t>(std::bit_width(sample), buckets_.size() - 1);
     buckets_[idx] += weight;
     count_ += weight;
     max_ = std::max(max_, sample);

@@ -6,12 +6,14 @@
  * new column command may begin. An access classifies as a row-buffer
  * hit (CAS only), a closed-row access (ACT + CAS) or a row conflict
  * (PRE + ACT + CAS); the paper's streaming-vs-random workload split
- * maps directly onto these classes.
+ * maps directly onto these classes. Both steps are defined here,
+ * inline, because the channel calls them on every DRAM access.
  */
 
 #ifndef MORPH_DRAM_BANK_HH
 #define MORPH_DRAM_BANK_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "dram/dram_config.hh"
@@ -39,9 +41,38 @@ class Bank
      * @param act_at    out: cycle of the ACT, or ~0 if none issued
      * @return outcome class (hit / closed / conflict)
      */
-    RowOutcome schedule(const DramConfig &config, std::uint64_t row,
-                        bool is_write, Cycle earliest, Cycle act_ready,
-                        Cycle &cas_ready, Cycle &act_at);
+    RowOutcome
+    schedule(const DramConfig &config, std::uint64_t row, bool is_write,
+             Cycle earliest, Cycle act_ready, Cycle &cas_ready,
+             Cycle &act_at)
+    {
+        (void)is_write;
+        Cycle start = std::max(earliest, readyAt_);
+        act_at = ~Cycle(0);
+
+        if (rowOpen_ && openRow_ == row) {
+            cas_ready = start;
+            return RowOutcome::Hit;
+        }
+
+        RowOutcome outcome = RowOutcome::Closed;
+        if (rowOpen_) {
+            // Row conflict: precharge first, honoring tRAS since the
+            // ACT.
+            outcome = RowOutcome::Conflict;
+            const Cycle pre_at =
+                std::max(start, activatedAt_ + config.cpu(config.tRAS));
+            start = pre_at + config.cpu(config.tRP);
+        }
+
+        const Cycle act = std::max(start, act_ready);
+        act_at = act;
+        activatedAt_ = act;
+        rowOpen_ = true;
+        openRow_ = row;
+        cas_ready = act + config.cpu(config.tRCD);
+        return outcome;
+    }
 
     /**
      * Commit the access once the data phase is placed on the bus.
@@ -55,8 +86,21 @@ class Bank
      * @param data_start first cycle of the data burst
      * @param is_write   direction
      */
-    void complete(const DramConfig &config, Cycle cas_at,
-                  Cycle data_start, bool is_write);
+    void
+    complete(const DramConfig &config, Cycle cas_at, Cycle data_start,
+             bool is_write)
+    {
+        if (is_write) {
+            // Write recovery: the bank is busy until tWR past the
+            // burst.
+            readyAt_ = data_start + config.cpu(config.tBURST) +
+                       config.cpu(config.tWR);
+        } else {
+            // Reads pipeline at tCCD; tRTP before a precharge is
+            // folded into the conservative tRAS gate in schedule().
+            readyAt_ = cas_at + config.cpu(config.tCCD);
+        }
+    }
 
     bool rowOpen() const { return rowOpen_; }
     std::uint64_t openRow() const { return openRow_; }

@@ -1,5 +1,9 @@
 #include "dram/dram_system.hh"
 
+#include <algorithm>
+#include <bit>
+#include <iterator>
+
 #include "common/check.hh"
 #include "common/prof.hh"
 #include "common/stat_registry.hh"
@@ -12,6 +16,28 @@ DramSystem::DramSystem(const DramConfig &config) : config_(config)
     channels_.reserve(config_.channels);
     for (unsigned c = 0; c < config_.channels; ++c)
         channels_.emplace_back(config_);
+
+    // line -> | row | rank | bank | column | channel | (decodeLine)
+    const unsigned fields[] = {config_.channels, config_.linesPerRow,
+                               config_.banksPerRank,
+                               config_.ranksPerChannel};
+    shiftDecode_ = std::all_of(std::begin(fields), std::end(fields),
+                               [](unsigned n) {
+                                   return std::has_single_bit(n);
+                               });
+    if (!shiftDecode_)
+        return;
+    channelMask_ = config_.channels - 1;
+    columnMask_ = config_.linesPerRow - 1;
+    bankMask_ = config_.banksPerRank - 1;
+    rankMask_ = config_.ranksPerChannel - 1;
+    columnShift_ = unsigned(std::countr_zero(config_.channels));
+    bankShift_ =
+        columnShift_ + unsigned(std::countr_zero(config_.linesPerRow));
+    rankShift_ =
+        bankShift_ + unsigned(std::countr_zero(config_.banksPerRank));
+    rowShift_ =
+        rankShift_ + unsigned(std::countr_zero(config_.ranksPerChannel));
 }
 
 Cycle
@@ -19,7 +45,7 @@ DramSystem::access(LineAddr line, AccessType type, Cycle when,
                    DramAccessTiming *timing)
 {
     MORPH_PROF_SCOPE("dram.access");
-    const DramCoord coord = decodeLine(config_, line);
+    const DramCoord coord = decode(line);
     if (timing)
         timing->channel = coord.channel;
     return channels_[coord.channel].access(coord, type, when, timing);

@@ -52,9 +52,42 @@ class DramSystem
 
     const DramConfig &config() const { return config_; }
 
+    /**
+     * decodeLine(config(), @p line). When channels, lines per row,
+     * banks and ranks are all powers of two (the default 2/128/8/2),
+     * the fields are cut out with precomputed shifts and masks instead
+     * of four 64-bit divisions.
+     */
+    DramCoord
+    decode(LineAddr line) const
+    {
+        if (!shiftDecode_)
+            return decodeLine(config_, line);
+        DramCoord coord;
+        coord.channel = unsigned(line & channelMask_);
+        coord.column = unsigned((line >> columnShift_) & columnMask_);
+        coord.bank = unsigned((line >> bankShift_) & bankMask_);
+        coord.rank = unsigned((line >> rankShift_) & rankMask_);
+        coord.row = line >> rowShift_;
+        return coord;
+    }
+
+    /** Whether decode() takes the shift/mask path. */
+    bool shiftDecode() const { return shiftDecode_; }
+
   private:
     DramConfig config_;
     std::vector<Channel> channels_;
+
+    bool shiftDecode_ = false;
+    LineAddr channelMask_ = 0;
+    LineAddr columnMask_ = 0;
+    LineAddr bankMask_ = 0;
+    LineAddr rankMask_ = 0;
+    unsigned columnShift_ = 0;
+    unsigned bankShift_ = 0;
+    unsigned rankShift_ = 0;
+    unsigned rowShift_ = 0;
 };
 
 } // namespace morph

@@ -36,19 +36,20 @@ class MetadataCache
         : cache_(size_bytes, ways), geom_(&geom)
     {}
 
-    /** @copydoc Cache::access */
-    bool
-    access(LineAddr line, bool write = false)
-    {
-        return cache_.access(line, write);
-    }
-
     /** @copydoc Cache::insert */
     std::optional<Eviction>
     insert(LineAddr line, bool dirty,
            InsertPosition position = InsertPosition::Mru)
     {
         return cache_.insert(line, dirty, position);
+    }
+
+    /** @copydoc Cache::accessOrInsert */
+    CacheFill
+    accessOrInsert(LineAddr line, bool write,
+                   InsertPosition position = InsertPosition::Mru)
+    {
+        return cache_.accessOrInsert(line, write, position);
     }
 
     /** @copydoc Cache::markDirty */

@@ -88,13 +88,15 @@ SecureMemoryModel::ensureCached(unsigned level, std::uint64_t index,
     // profile: depth == levels actually walked past the cache.
     MORPH_PROF_SCOPE("secmem.tree_walk");
     const LineAddr line = geom.lineOfEntry(level, index);
-    if (mdcache_.access(line))
+    const CacheFill fill =
+        mdcache_.accessOrInsert(line, false, fillPosition(level));
+    if (fill.hit)
         return; // found securely cached: traversal terminates
 
     out.push_back({line, AccessType::Read, trafficForLevel(level),
                    critical});
     stats_.count(trafficForLevel(level), false);
-    insertMetadata(line, false, out);
+    writeBackEvicted(fill.evicted, out);
 
     if (config_.counterPrefetch && level == 0 &&
         index + 1 < geom.levels()[0].entries) {
@@ -103,7 +105,8 @@ SecureMemoryModel::ensureCached(unsigned level, std::uint64_t index,
             out.push_back({next, AccessType::Read, Traffic::CtrEncr,
                            false});
             stats_.count(Traffic::CtrEncr, false);
-            insertMetadata(next, false, out);
+            writeBackEvicted(
+                mdcache_.insert(next, false, fillPosition(0)), out);
         }
     }
 
@@ -113,19 +116,20 @@ SecureMemoryModel::ensureCached(unsigned level, std::uint64_t index,
                  critical && !config_.speculativeVerification);
 }
 
-/** Insert a metadata line, handling a possible dirty victim. */
-void
-SecureMemoryModel::insertMetadata(LineAddr line, bool dirty,
-                                  std::vector<MemAccess> &out)
+/** Replacement position of a metadata line of @p level filled on a
+ *  miss: encryption counters go in demoted when so configured. */
+InsertPosition
+SecureMemoryModel::fillPosition(unsigned level) const
 {
-    InsertPosition position = InsertPosition::Mru;
-    if (config_.demoteEncCounters) {
-        unsigned level;
-        std::uint64_t index;
-        if (geometry().entryOfLine(line, level, index) && level == 0)
-            position = InsertPosition::Lru;
-    }
-    const auto evicted = mdcache_.insert(line, dirty, position);
+    return config_.demoteEncCounters && level == 0 ? InsertPosition::Lru
+                                                   : InsertPosition::Mru;
+}
+
+/** Write back the victim of a metadata fill if it was dirty. */
+void
+SecureMemoryModel::writeBackEvicted(const std::optional<Eviction> &evicted,
+                                    std::vector<MemAccess> &out)
+{
     if (!evicted || !evicted->dirty)
         return;
 
@@ -255,11 +259,12 @@ SecureMemoryModel::onDataAccess(LineAddr data_line, AccessType type,
         // Separate-MAC organization: every data access also touches
         // the MAC line (reads verify, writes update).
         const LineAddr mac_line = macLineOf(data_line);
-        if (!mdcache_.access(mac_line, is_write)) {
+        const CacheFill fill = mdcache_.accessOrInsert(mac_line, is_write);
+        if (!fill.hit) {
             out.push_back({mac_line, AccessType::Read, Traffic::Mac,
                            !is_write});
             stats_.count(Traffic::Mac, false);
-            insertMetadata(mac_line, is_write, out);
+            writeBackEvicted(fill.evicted, out);
         }
     }
 

@@ -148,8 +148,9 @@ class SecureMemoryModel
   private:
     void ensureCached(unsigned level, std::uint64_t index,
                       std::vector<MemAccess> &out, bool critical);
-    void insertMetadata(LineAddr line, bool dirty,
-                        std::vector<MemAccess> &out);
+    InsertPosition fillPosition(unsigned level) const;
+    void writeBackEvicted(const std::optional<Eviction> &evicted,
+                          std::vector<MemAccess> &out);
     void handleDirtyWriteback(unsigned level, std::uint64_t index,
                               std::vector<MemAccess> &out);
     void bumpCounter(unsigned level, std::uint64_t child,

@@ -270,6 +270,10 @@ std::uint64_t
 PagePermutation::operator()(std::uint64_t vpage) const
 {
     MORPH_CHECK_LT(vpage, n_);
+    // a, v, b < n, so a*v + b <= n*(n-1): it fits in 64 bits whenever
+    // n <= 2^32, and the 128-bit modulo (a libgcc call) is not needed.
+    if (n_ <= (std::uint64_t(1) << 32))
+        return (vpage * multiplier_ + offset_) % n_;
     return std::uint64_t((static_cast<unsigned __int128>(vpage) *
                               multiplier_ +
                           offset_) %

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "cache/cache.hh"
+#include "common/rng.hh"
 
 namespace morph
 {
@@ -155,6 +161,274 @@ TEST(Cache, HitRate)
     cache.access(1);
     cache.access(2);
     EXPECT_DOUBLE_EQ(cache.stats().hitRate(), 0.5);
+}
+
+TEST(Cache, AccessOrInsertHitsOrFillsInOnePass)
+{
+    Cache cache(256, 4); // one set
+    const CacheFill miss = cache.accessOrInsert(7, true);
+    EXPECT_FALSE(miss.hit);
+    EXPECT_FALSE(miss.evicted.has_value());
+    EXPECT_TRUE(cache.contains(7));
+    EXPECT_EQ(cache.stats().misses, 1u);
+
+    const CacheFill hit = cache.accessOrInsert(7, false);
+    EXPECT_TRUE(hit.hit);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    for (LineAddr line = 8; line < 11; ++line)
+        cache.accessOrInsert(line, false);
+    const CacheFill evict = cache.accessOrInsert(11, false);
+    EXPECT_FALSE(evict.hit);
+    ASSERT_TRUE(evict.evicted.has_value());
+    EXPECT_EQ(evict.evicted->line, 7u); // least recently used
+    EXPECT_TRUE(evict.evicted->dirty);  // filled by a write
+    EXPECT_EQ(cache.stats().dirtyEvictions, 1u);
+}
+
+/**
+ * The Way-array LRU cache that the packed-tag Cache replaced, kept
+ * verbatim as the reference: an array of {line, lastUse, valid,
+ * dirty} per way, victim = first invalid way, else the first way with
+ * the smallest lastUse.
+ */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(std::size_t size_bytes, unsigned ways)
+        : numSets_(size_bytes / (std::size_t(ways) * lineBytes)),
+          ways_(ways), lines_(numSets_ * ways)
+    {}
+
+    bool
+    access(LineAddr line, bool write)
+    {
+        Way *way = find(line);
+        if (way) {
+            way->lastUse = ++useClock_;
+            way->dirty = way->dirty || write;
+            ++stats_.hits;
+            return true;
+        }
+        ++stats_.misses;
+        return false;
+    }
+
+    bool contains(LineAddr line) { return find(line) != nullptr; }
+
+    std::optional<Eviction>
+    insert(LineAddr line, bool dirty, InsertPosition position)
+    {
+        if (Way *hit = find(line)) {
+            hit->lastUse = ++useClock_;
+            hit->dirty = hit->dirty || dirty;
+            return std::nullopt;
+        }
+        Way *base = &lines_[setOf(line) * ways_];
+        Way *victim = &base[0];
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (!base[w].valid) {
+                victim = &base[w];
+                break;
+            }
+            if (base[w].lastUse < victim->lastUse)
+                victim = &base[w];
+        }
+        std::optional<Eviction> evicted;
+        if (victim->valid) {
+            evicted = Eviction{victim->line, victim->dirty};
+            ++stats_.evictions;
+            if (victim->dirty)
+                ++stats_.dirtyEvictions;
+        }
+        victim->line = line;
+        victim->valid = true;
+        victim->dirty = dirty;
+        if (position == InsertPosition::Mru) {
+            victim->lastUse = ++useClock_;
+        } else {
+            std::uint64_t lowest = ~std::uint64_t(0);
+            for (unsigned w = 0; w < ways_; ++w) {
+                if (base[w].valid && &base[w] != victim)
+                    lowest = std::min(lowest, base[w].lastUse);
+            }
+            victim->lastUse = lowest == ~std::uint64_t(0) || lowest == 0
+                                  ? 0
+                                  : lowest - 1;
+        }
+        return evicted;
+    }
+
+    CacheFill
+    accessOrInsert(LineAddr line, bool write, InsertPosition position)
+    {
+        if (access(line, write))
+            return {true, std::nullopt};
+        return {false, insert(line, write, position)};
+    }
+
+    bool
+    markDirty(LineAddr line)
+    {
+        if (Way *way = find(line)) {
+            way->dirty = true;
+            return true;
+        }
+        return false;
+    }
+
+    std::optional<Eviction>
+    invalidate(LineAddr line)
+    {
+        if (Way *way = find(line)) {
+            const Eviction ev{way->line, way->dirty};
+            way->valid = false;
+            way->dirty = false;
+            return ev;
+        }
+        return std::nullopt;
+    }
+
+    void
+    flush()
+    {
+        for (auto &way : lines_) {
+            way.valid = false;
+            way.dirty = false;
+        }
+    }
+
+    std::vector<std::pair<LineAddr, bool>>
+    contents() const
+    {
+        std::vector<std::pair<LineAddr, bool>> out;
+        for (const auto &way : lines_)
+            if (way.valid)
+                out.emplace_back(way.line, way.dirty);
+        return out;
+    }
+
+    const CacheStats &stats() const { return stats_; }
+
+  private:
+    struct Way
+    {
+        LineAddr line = 0;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    std::size_t setOf(LineAddr line) const { return line % numSets_; }
+
+    Way *
+    find(LineAddr line)
+    {
+        Way *base = &lines_[setOf(line) * ways_];
+        for (unsigned w = 0; w < ways_; ++w)
+            if (base[w].valid && base[w].line == line)
+                return &base[w];
+        return nullptr;
+    }
+
+    std::size_t numSets_;
+    unsigned ways_;
+    std::vector<Way> lines_;
+    std::uint64_t useClock_ = 0;
+    CacheStats stats_;
+};
+
+std::vector<std::pair<LineAddr, bool>>
+contentsOf(const Cache &cache)
+{
+    std::vector<std::pair<LineAddr, bool>> out;
+    cache.forEach([&](LineAddr line, bool dirty) {
+        out.emplace_back(line, dirty);
+    });
+    return out;
+}
+
+bool
+sameEviction(const std::optional<Eviction> &a,
+             const std::optional<Eviction> &b)
+{
+    if (a.has_value() != b.has_value())
+        return false;
+    return !a || (a->line == b->line && a->dirty == b->dirty);
+}
+
+/**
+ * Drive the packed-tag cache and the Way-array reference with one
+ * seeded random stream of every operation and compare each result,
+ * the statistics and the full contents after every step.
+ */
+void
+checkAgainstReference(std::size_t sets, unsigned ways, std::uint64_t seed)
+{
+    const std::size_t bytes = sets * ways * lineBytes;
+    Cache cache(bytes, ways);
+    ReferenceCache ref(bytes, ways);
+    ASSERT_EQ(cache.numSets(), sets);
+    Rng rng(seed);
+    // Three lines per way on average, so sets overflow and evict; a
+    // high base keeps the line values away from small integers.
+    const std::uint64_t span = sets * ways * 3;
+    const LineAddr base = LineAddr(1) << 40;
+    for (unsigned step = 0; step < 4000; ++step) {
+        const LineAddr line = base + rng.below(span);
+        const bool flag = rng.chance(0.5);
+        const InsertPosition pos = rng.chance(0.3) ? InsertPosition::Lru
+                                                   : InsertPosition::Mru;
+        const std::uint64_t op = rng.below(100);
+        SCOPED_TRACE("step " + std::to_string(step) + ", op " +
+                     std::to_string(op) + ", line " +
+                     std::to_string(line));
+        if (op < 25) {
+            ASSERT_EQ(cache.access(line, flag), ref.access(line, flag));
+        } else if (op < 45) {
+            ASSERT_TRUE(sameEviction(cache.insert(line, flag, pos),
+                                     ref.insert(line, flag, pos)));
+        } else if (op < 75) {
+            const CacheFill got = cache.accessOrInsert(line, flag, pos);
+            const CacheFill want = ref.accessOrInsert(line, flag, pos);
+            ASSERT_EQ(got.hit, want.hit);
+            ASSERT_TRUE(sameEviction(got.evicted, want.evicted));
+        } else if (op < 85) {
+            ASSERT_EQ(cache.markDirty(line), ref.markDirty(line));
+        } else if (op < 93) {
+            ASSERT_TRUE(
+                sameEviction(cache.invalidate(line), ref.invalidate(line)));
+        } else if (op < 99) {
+            ASSERT_EQ(cache.contains(line), ref.contains(line));
+        } else {
+            cache.flush();
+            ref.flush();
+        }
+        const CacheStats &a = cache.stats();
+        const CacheStats &b = ref.stats();
+        ASSERT_EQ(a.hits, b.hits);
+        ASSERT_EQ(a.misses, b.misses);
+        ASSERT_EQ(a.evictions, b.evictions);
+        ASSERT_EQ(a.dirtyEvictions, b.dirtyEvictions);
+        ASSERT_EQ(contentsOf(cache), ref.contents());
+    }
+}
+
+TEST(CacheReference, MatchesWayArrayLruOverRandomStreams)
+{
+    for (const unsigned ways : {1u, 2u, 3u, 4u, 7u, 8u, 16u}) {
+        for (const std::size_t sets : {std::size_t(1), std::size_t(4),
+                                       std::size_t(16), std::size_t(3),
+                                       std::size_t(5), std::size_t(13)}) {
+            for (const std::uint64_t seed : {1ull, 2ull}) {
+                SCOPED_TRACE("ways " + std::to_string(ways) + ", sets " +
+                             std::to_string(sets) + ", seed " +
+                             std::to_string(seed));
+                checkAgainstReference(sets, ways, seed);
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+        }
+    }
 }
 
 TEST(CacheDeath, RejectsBadGeometry)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hh"
 #include "dram/dram_power.hh"
 #include "dram/dram_system.hh"
 
@@ -41,6 +44,102 @@ TEST(DramAddressMap, RowCapacity)
         config.banksPerRank * config.ranksPerChannel;
     EXPECT_EQ(decodeLine(config, lines_per_row_group - 1).row, 0u);
     EXPECT_EQ(decodeLine(config, lines_per_row_group).row, 1u);
+}
+
+bool
+sameCoord(const DramCoord &a, const DramCoord &b)
+{
+    return a.channel == b.channel && a.rank == b.rank &&
+           a.bank == b.bank && a.row == b.row && a.column == b.column;
+}
+
+TEST(DramAddressMap, ShiftDecodeMatchesDecodeLine)
+{
+    const DramSystem dram;
+    ASSERT_TRUE(dram.shiftDecode()); // default 2/128/8/2
+    Rng rng(17);
+    for (unsigned i = 0; i < 100000; ++i) {
+        // Mix small lines, 16 GB-range lines and full 64-bit values.
+        const LineAddr line = i % 3 == 0   ? rng.below(1 << 20)
+                              : i % 3 == 1 ? rng.below(1ull << 28)
+                                           : rng.next();
+        ASSERT_TRUE(
+            sameCoord(dram.decode(line), decodeLine(dram.config(), line)))
+            << "line " << line;
+    }
+}
+
+TEST(DramAddressMap, NonPowerOfTwoFieldTakesGeneralPath)
+{
+    DramConfig three_channels;
+    three_channels.channels = 3;
+    DramConfig short_rows;
+    short_rows.linesPerRow = 96;
+    DramConfig odd_ranks;
+    odd_ranks.ranksPerChannel = 3;
+    for (const DramConfig &config :
+         {three_channels, short_rows, odd_ranks}) {
+        const DramSystem dram(config);
+        EXPECT_FALSE(dram.shiftDecode());
+        Rng rng(5);
+        for (unsigned i = 0; i < 1000; ++i) {
+            const LineAddr line = rng.below(1ull << 28);
+            ASSERT_TRUE(
+                sameCoord(dram.decode(line), decodeLine(config, line)));
+        }
+    }
+    DramConfig wide; // every field a power of two, none the default
+    wide.channels = 4;
+    wide.linesPerRow = 64;
+    wide.banksPerRank = 16;
+    wide.ranksPerChannel = 1;
+    const DramSystem dram(wide);
+    EXPECT_TRUE(dram.shiftDecode());
+    for (LineAddr line = 0; line < 5000; line += 7)
+        ASSERT_TRUE(sameCoord(dram.decode(line), decodeLine(wide, line)));
+}
+
+/** Completion cycles of DramSystem::access against channels driven
+ *  directly with decodeLine coordinates, over one seeded stream. */
+void
+checkAccessAgainstDecodeLine(const DramConfig &config)
+{
+    DramSystem dram(config);
+    std::vector<Channel> reference;
+    for (unsigned c = 0; c < config.channels; ++c)
+        reference.emplace_back(config);
+    Rng rng(23);
+    Cycle when = 0;
+    for (unsigned i = 0; i < 20000; ++i) {
+        // Half near-sequential (row hits), half scattered.
+        const LineAddr line = rng.chance(0.5) ? LineAddr(i) * 2 + 1
+                                              : rng.below(1ull << 28);
+        const AccessType type = rng.chance(0.3) ? AccessType::Write
+                                                : AccessType::Read;
+        when += rng.below(40);
+        const DramCoord coord = decodeLine(config, line);
+        ASSERT_EQ(dram.access(line, type, when),
+                  reference[coord.channel].access(coord, type, when))
+            << "access " << i;
+    }
+    for (unsigned c = 0; c < config.channels; ++c) {
+        EXPECT_EQ(dram.activity(c).rowHits,
+                  reference[c].activity().rowHits);
+        EXPECT_EQ(dram.activity(c).activates,
+                  reference[c].activity().activates);
+    }
+}
+
+TEST(DramTiming, AccessMatchesDecodeLineReference)
+{
+    checkAccessAgainstDecodeLine(DramConfig{});
+    DramConfig queued;
+    queued.writeQueueing = true;
+    queued.refresh = true;
+    checkAccessAgainstDecodeLine(queued);
+    DramConfig three_channels;
+    three_channels.channels = 3;
+    checkAccessAgainstDecodeLine(three_channels);
 }
 
 TEST(DramTiming, RowHitFasterThanRowMiss)

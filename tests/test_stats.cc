@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
 
 #include "common/stats.hh"
 
@@ -135,6 +136,35 @@ TEST(ExpHistogram, ClampsToLastBucket)
     h.record(1u << 20);
     EXPECT_EQ(h.bucket(3), 1u);
     EXPECT_EQ(h.max(), 1u << 20);
+}
+
+TEST(ExpHistogram, BucketIndexMatchesBitLoop)
+{
+    // The bucket search this replaced: walk up until 2^idx > sample.
+    const auto loop_bucket = [](std::uint64_t sample, unsigned buckets) {
+        unsigned idx = 0;
+        if (sample > 0) {
+            idx = 1;
+            while (idx + 1 < buckets && sample >= (1ull << idx))
+                ++idx;
+        }
+        return idx;
+    };
+    std::vector<std::uint64_t> samples = {0, 1, 2, 3, ~0ull};
+    for (unsigned k = 1; k < 64; ++k) {
+        samples.push_back((1ull << k) - 1);
+        samples.push_back(1ull << k);
+        samples.push_back((1ull << k) + 1);
+    }
+    for (const unsigned buckets : {2u, 32u}) {
+        for (const std::uint64_t sample : samples) {
+            ExpHistogram h(buckets);
+            h.record(sample);
+            const unsigned want = loop_bucket(sample, buckets);
+            EXPECT_EQ(h.bucket(want), 1u)
+                << "sample " << sample << ", " << buckets << " buckets";
+        }
+    }
 }
 
 TEST(ExpHistogram, MeanAndReset)

@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 
+#include "common/rng.hh"
 #include "workloads/workload_db.hh"
 
 namespace morph
@@ -177,6 +178,34 @@ TEST(PagePermutationTest, IsBijective)
             images.insert(p);
         }
         EXPECT_EQ(images.size(), n);
+    }
+}
+
+TEST(PagePermutationTest, MatchesWideFormulaAroundTwoToThe32)
+{
+    // perm(0) = b and perm(1) = (a + b) mod n need no wide arithmetic,
+    // so they recover the map's (a, b); every other image must equal
+    // the 128-bit (a*v + b) mod n on either side of the 64-bit path.
+    const auto check = [](std::uint64_t n, std::uint64_t seed) {
+        const PagePermutation perm(n, seed);
+        const std::uint64_t b = perm(0);
+        const std::uint64_t a = (perm(1) + n - b) % n;
+        Rng rng(seed ^ n);
+        for (unsigned i = 0; i < 2000; ++i) {
+            const std::uint64_t v = i == 0 ? n - 1 : rng.below(n);
+            const std::uint64_t want = std::uint64_t(
+                (static_cast<unsigned __int128>(v) * a + b) % n);
+            ASSERT_EQ(perm(v), want) << "n " << n << ", v " << v;
+        }
+    };
+    for (const std::uint64_t n :
+         {(1ull << 32) - 1, 1ull << 32, (1ull << 32) + 1})
+        for (const std::uint64_t seed : {1ull, 99ull, ~0ull})
+            check(n, seed);
+    Rng rng(7);
+    for (unsigned i = 0; i < 50; ++i) {
+        check(2 + rng.below(1ull << 32), rng.next());
+        check(2 + rng.below(1ull << 48), rng.next());
     }
 }
 

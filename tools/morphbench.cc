@@ -558,7 +558,8 @@ main(int argc, char **argv)
         } else if (arg == "--kernels") {
             with_kernels = true;
         } else if (arg == "--kernel-ms") {
-            const double ms = std::atof(value());
+            const double ms =
+                requireReal("morphbench", arg.c_str(), value());
             if (ms <= 0.0) {
                 std::fprintf(stderr,
                              "morphbench: --kernel-ms needs a value"
@@ -570,9 +571,10 @@ main(int argc, char **argv)
             compare_base = value();
             compare_new = value();
         } else if (arg == "--tolerance") {
-            tolerance = std::atof(value());
+            tolerance = requireReal("morphbench", arg.c_str(), value());
         } else if (arg == "--kernel-min-ratio") {
-            kernel_min_ratio = std::atof(value());
+            kernel_min_ratio =
+                requireReal("morphbench", arg.c_str(), value());
         } else if (arg == "--prof-out") {
             prof_out_path = value();
         } else if (arg == "--help" || arg == "-h") {

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "flag_parse.hh"
 
 namespace
 {
@@ -427,11 +428,11 @@ main(int argc, char **argv)
         } else if (arg == "--metric") {
             metric = value();
         } else if (arg == "--min-coverage") {
-            min_coverage = std::atof(value());
+            min_coverage = requireReal("morphprof", arg.c_str(), value());
         } else if (arg == "--threshold") {
-            threshold = std::atof(value());
+            threshold = requireReal("morphprof", arg.c_str(), value());
         } else if (arg == "--min-ms") {
-            min_ms = std::atof(value());
+            min_ms = requireReal("morphprof", arg.c_str(), value());
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return exitClean;

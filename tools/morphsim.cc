@@ -299,6 +299,17 @@ countFlag(const std::string &arg, const char *text)
     return *v;
 }
 
+/** Parse a non-negative real option value; exits with code 2 on junk,
+ *  nan, infinite or negative input (see flag_parse.hh). */
+double
+realFlag(const std::string &arg, const char *text)
+{
+    const std::optional<double> v = parseReal(text);
+    if (!v || *v < 0.0)
+        badFlag("option %s needs a non-negative number", arg.c_str());
+    return *v;
+}
+
 /** Expand a --sweep list ("all" or comma-separated names) into
  *  config names; exits with code 3 on an unknown name. */
 std::vector<std::string>
@@ -487,8 +498,12 @@ main(int argc, char **argv)
         } else if (arg == "--config") {
             config_name = value();
         } else if (arg == "--mem-gb") {
-            secmem.memBytes = std::uint64_t(std::atof(value()) *
-                                            double(1ull << 30));
+            const double gb = realFlag(arg, value());
+            // The byte count must fit in 64 bits: converting a larger
+            // double to an integer is undefined.
+            if (gb >= double(~std::uint64_t(0) >> 30))
+                badFlag("option %s is out of range", arg.c_str());
+            secmem.memBytes = std::uint64_t(gb * double(1ull << 30));
         } else if (arg == "--cache-kb") {
             secmem.metadataCacheBytes =
                 std::size_t(countFlag(arg, value())) * 1024;
@@ -497,7 +512,7 @@ main(int argc, char **argv)
         } else if (arg == "--warmup") {
             options.warmupPerCore = countFlag(arg, value());
         } else if (arg == "--scale") {
-            options.footprintScale = std::atof(value());
+            options.footprintScale = realFlag(arg, value());
         } else if (arg == "--seed") {
             options.seed = countFlag(arg, value());
         } else if (arg == "--timing") {
