@@ -6,8 +6,8 @@
  * morphprof observes the *simulator*. Code marks phases with RAII
  * scopes:
  *
- *   void SimSystem::step(Core &core) {
- *       MORPH_PROF_SCOPE("sim.step");
+ *   void SimSystem::run(std::uint64_t accesses_per_core) {
+ *       MORPH_PROF_SCOPE("sim.run");
  *       ...
  *   }
  *
@@ -19,11 +19,14 @@
  * time, keyed by thread name, with exclusive time derived as
  * inclusive minus the children's inclusive.
  *
- * The layer is always compiled and off by default: a disabled scope
- * costs one relaxed atomic load and a branch, and profiling never
- * feeds back into simulation state, so outputs with profiling off are
- * byte-identical to outputs with profiling on (pinned by the
- * morphsim_prof_noninterference tier-1 test).
+ * The layer is always compiled and off by default, and profiling
+ * never feeds back into simulation state, so outputs with profiling
+ * off are byte-identical to outputs with profiling on (pinned by the
+ * morphsim_prof_noninterference tier-1 test). A disabled scope is not
+ * free: a static-guard check, a relaxed atomic load, a branch and a
+ * destructor the compiler must keep around the body. So mark phases,
+ * not per-access steps; the simulator's per-access path has no scopes
+ * (perfbench times its layers from outside).
  *
  * Scope names follow the morphscope naming contract — [a-z0-9_.]+ and
  * unique per site (enforced at registration, re-derived by morphlint

@@ -5,7 +5,6 @@
 #include <iterator>
 
 #include "common/check.hh"
-#include "common/prof.hh"
 #include "common/stat_registry.hh"
 
 namespace morph
@@ -38,17 +37,6 @@ DramSystem::DramSystem(const DramConfig &config) : config_(config)
         bankShift_ + unsigned(std::countr_zero(config_.banksPerRank));
     rowShift_ =
         rankShift_ + unsigned(std::countr_zero(config_.ranksPerChannel));
-}
-
-Cycle
-DramSystem::access(LineAddr line, AccessType type, Cycle when,
-                   DramAccessTiming *timing)
-{
-    MORPH_PROF_SCOPE("dram.access");
-    const DramCoord coord = decode(line);
-    if (timing)
-        timing->channel = coord.channel;
-    return channels_[coord.channel].access(coord, type, when, timing);
 }
 
 ChannelActivity

@@ -84,9 +84,6 @@ SecureMemoryModel::ensureCached(unsigned level, std::uint64_t index,
     if (level == geom.rootLevel())
         return; // root registers live on-chip
 
-    // Recursion shows up as nested secmem.tree_walk chains in a
-    // profile: depth == levels actually walked past the cache.
-    MORPH_PROF_SCOPE("secmem.tree_walk");
     const LineAddr line = geom.lineOfEntry(level, index);
     const CacheFill fill =
         mdcache_.accessOrInsert(line, false, fillPosition(level));
@@ -168,7 +165,6 @@ SecureMemoryModel::handleDirtyWriteback(unsigned level,
     if (level == geom.rootLevel())
         return;
 
-    MORPH_PROF_SCOPE("secmem.ctr_bump");
     const unsigned parent = level + 1;
     ensureCached(parent, geom.parentIndex(parent, index), out, false);
     bumpCounter(parent, index, out);
@@ -239,7 +235,6 @@ void
 SecureMemoryModel::onDataAccess(LineAddr data_line, AccessType type,
                                 std::vector<MemAccess> &out)
 {
-    MORPH_PROF_SCOPE("secmem.data_access");
     MORPH_CHECK_LT(data_line, geometry().dataLines());
     const bool is_write = type == AccessType::Write;
 

@@ -43,7 +43,20 @@ const char *trafficName(Traffic category);
 const char *trafficKey(Traffic category);
 
 /** Traffic category for a metadata access at tree @p level. */
-Traffic trafficForLevel(unsigned level);
+inline Traffic
+trafficForLevel(unsigned level)
+{
+    switch (level) {
+      case 0:
+        return Traffic::CtrEncr;
+      case 1:
+        return Traffic::Ctr1;
+      case 2:
+        return Traffic::Ctr2;
+      default:
+        return Traffic::Ctr3Up;
+    }
+}
 
 class StatRegistry;
 

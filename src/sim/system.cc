@@ -26,7 +26,6 @@ SimSystem::SimSystem(const SystemConfig &config,
 void
 SimSystem::step(Core &core)
 {
-    MORPH_PROF_SCOPE("sim.step");
     const TraceEntry entry = core.beginEntry();
 
     scratch_.clear();
@@ -37,14 +36,17 @@ SimSystem::step(Core &core)
     Cycle done = start;
     if (config_.timing) {
         for (const MemAccess &access : scratch_) {
-            DramAccessTiming timing;
-            const Cycle finish =
-                dram_.access(access.line, access.type, core.clock(),
-                             traced ? &timing : nullptr);
+            Cycle finish;
+            if (traced) [[unlikely]] {
+                DramAccessTiming timing;
+                finish = dram_.access(access.line, access.type, start,
+                                      &timing);
+                traceDramAccess(core, access, timing);
+            } else {
+                finish = dram_.access(access.line, access.type, start);
+            }
             if (access.critical)
                 done = std::max(done, finish);
-            if (traced)
-                traceDramAccess(core, access, timing);
         }
         if (measuring_ && entry.type == AccessType::Read)
             readLatency_.record(done - start);

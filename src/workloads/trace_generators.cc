@@ -45,7 +45,7 @@ class PatternBase : public TraceSource
     next() override
     {
         TraceEntry entry;
-        entry.gap = sampleGap();
+        entry.gap = geometricGap(meanGap_, rng_.uniform());
         entry.type = rng_.chance(writeFraction_) ? AccessType::Write
                                                  : AccessType::Read;
         entry.line = mapLine(nextVirtualLine(entry.type));
@@ -68,15 +68,6 @@ class PatternBase : public TraceSource
         MORPH_CHECK(line <
                params_.regionBaseLine + params_.regionLines);
         return line;
-    }
-
-    std::uint32_t
-    sampleGap()
-    {
-        // Geometric inter-arrival around the PKI-derived mean.
-        const double u = rng_.uniform();
-        const double gap = -meanGap_ * std::log1p(-u);
-        return std::uint32_t(std::min(gap, 1e6));
     }
 
     GeneratorParams params_;
@@ -250,6 +241,25 @@ class MixedGenerator : public PatternBase
 };
 
 } // namespace
+
+std::uint32_t
+geometricGap(double mean, double u)
+{
+    // glibc's log(1 - u) is cheaper than log1p(-u), and 1 - u is exact
+    // because u is a multiple of 2^-53. The two results then
+    // differ by a few ulps, far inside 2^-36 of the value, so their
+    // truncations agree unless the value sits that close to an
+    // integer. There, and near the clamp, the reference formula runs.
+    const double fast = -mean * std::log(1.0 - u);
+    if (fast < 1e6 - 1) {
+        const std::uint32_t whole = std::uint32_t(fast);
+        const double frac = fast - double(whole);
+        const double margin = fast * 0x1p-36;
+        if (frac > margin && 1.0 - frac > margin)
+            return whole;
+    }
+    return std::uint32_t(std::min(-mean * std::log1p(-u), 1e6));
+}
 
 PagePermutation::PagePermutation(std::uint64_t num_pages,
                                  std::uint64_t seed)

@@ -70,6 +70,14 @@ std::unique_ptr<TraceSource> makeGenerator(Pattern pattern,
                                            const GeneratorParams &params);
 
 /**
+ * One geometric inter-arrival gap: uint32(min(-mean * log1p(-u), 1e6))
+ * for a uniform variate @p u in [0, 1) that is a multiple of 2^-53
+ * (Rng::uniform), bit for bit. Every generator samples its gaps here,
+ * with mean 1000 / (read PKI + write PKI) instructions.
+ */
+std::uint32_t geometricGap(double mean, double u);
+
+/**
  * Page-placement permutation: maps virtual page v in [0, n) to a
  * physical page in [0, n) bijectively via a multiplicative hash with
  * a multiplier coprime to n. Deterministic in (n, seed).

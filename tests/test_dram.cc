@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "common/rng.hh"
@@ -140,6 +142,313 @@ TEST(DramTiming, AccessMatchesDecodeLineReference)
     DramConfig three_channels;
     three_channels.channels = 3;
     checkAccessAgainstDecodeLine(three_channels);
+}
+
+/**
+ * The channel as it was before its schedule was folded inline: a
+ * separate Bank state machine, timing read through the config on every
+ * access, and the refresh window always consulted. Kept here, verbatim
+ * in its decisions, as the reference the inline channel must match.
+ */
+class ReferenceChannel
+{
+  public:
+    explicit ReferenceChannel(const DramConfig &config)
+        : config_(config),
+          banks_(config.ranksPerChannel * config.banksPerRank),
+          ranks_(config.ranksPerChannel),
+          refreshesDone_(config.ranksPerChannel, 0)
+    {}
+
+    Cycle
+    access(const DramCoord &coord, AccessType type, Cycle when,
+           DramAccessTiming *timing)
+    {
+        if (config_.writeQueueing && type == AccessType::Write) {
+            writeQueue_.push_back(coord);
+            timing->submit = when;
+            timing->burstStart = when;
+            timing->complete = when;
+            timing->queued = true;
+            if (writeQueue_.size() >= config_.writeQueueHigh)
+                drainWrites(when);
+            return when;
+        }
+        return scheduleAccess(coord, type, when, timing);
+    }
+
+    ChannelActivity activity;
+    Cycle busFreeAt = 0;
+
+  private:
+    enum class RowOutcome { Hit, Closed, Conflict };
+
+    class Bank
+    {
+      public:
+        RowOutcome
+        schedule(const DramConfig &config, std::uint64_t row,
+                 Cycle earliest, Cycle act_ready, Cycle &cas_ready,
+                 Cycle &act_at)
+        {
+            Cycle start = std::max(earliest, readyAt_);
+            act_at = ~Cycle(0);
+            if (rowOpen_ && openRow_ == row) {
+                cas_ready = start;
+                return RowOutcome::Hit;
+            }
+            RowOutcome outcome = RowOutcome::Closed;
+            if (rowOpen_) {
+                outcome = RowOutcome::Conflict;
+                const Cycle pre_at = std::max(
+                    start, activatedAt_ + config.cpu(config.tRAS));
+                start = pre_at + config.cpu(config.tRP);
+            }
+            const Cycle act = std::max(start, act_ready);
+            act_at = act;
+            activatedAt_ = act;
+            rowOpen_ = true;
+            openRow_ = row;
+            cas_ready = act + config.cpu(config.tRCD);
+            return outcome;
+        }
+
+        void
+        complete(const DramConfig &config, Cycle cas_at,
+                 Cycle data_start, bool is_write)
+        {
+            if (is_write)
+                readyAt_ = data_start + config.cpu(config.tBURST) +
+                           config.cpu(config.tWR);
+            else
+                readyAt_ = cas_at + config.cpu(config.tCCD);
+        }
+
+      private:
+        bool rowOpen_ = false;
+        std::uint64_t openRow_ = 0;
+        Cycle readyAt_ = 0;
+        Cycle activatedAt_ = 0;
+    };
+
+    struct RankWindow
+    {
+        std::array<Cycle, 4> lastActs{};
+        unsigned next = 0;
+        std::uint64_t actCount = 0;
+        Cycle lastAct = 0;
+
+        Cycle
+        readyFor(const DramConfig &config) const
+        {
+            const Cycle faw_gate =
+                actCount >= lastActs.size()
+                    ? lastActs[next] + config.cpu(config.tFAW)
+                    : 0;
+            const Cycle rrd_gate =
+                actCount >= 1 ? lastAct + config.cpu(config.tRRD) : 0;
+            return std::max(faw_gate, rrd_gate);
+        }
+
+        void
+        record(Cycle act_at)
+        {
+            lastActs[next] = act_at;
+            next = unsigned((next + 1) % lastActs.size());
+            lastAct = act_at;
+            ++actCount;
+        }
+    };
+
+    Cycle
+    afterRefresh(unsigned rank, Cycle when)
+    {
+        if (!config_.refresh)
+            return when;
+        const Cycle interval = config_.cpu(config_.tREFI);
+        const Cycle blocked = config_.cpu(config_.tRFC);
+        const Cycle offset =
+            interval * rank / std::max(1u, config_.ranksPerChannel);
+        const Cycle phase = (when + interval - offset) % interval;
+        const std::uint64_t elapsed =
+            (when + interval - offset) / interval;
+        if (elapsed > refreshesDone_[rank]) {
+            activity.refreshes += elapsed - refreshesDone_[rank];
+            refreshesDone_[rank] = elapsed;
+        }
+        if (phase < blocked)
+            return when + (blocked - phase);
+        return when;
+    }
+
+    void
+    drainWrites(Cycle when)
+    {
+        ++activity.writeDrains;
+        while (writeQueue_.size() > config_.writeQueueLow) {
+            const DramCoord coord = writeQueue_.front();
+            writeQueue_.erase(writeQueue_.begin());
+            scheduleAccess(coord, AccessType::Write, when, nullptr);
+        }
+    }
+
+    Cycle
+    scheduleAccess(const DramCoord &coord, AccessType type, Cycle when,
+                   DramAccessTiming *timing)
+    {
+        when = afterRefresh(coord.rank, when);
+        Bank &bank = banks_[coord.rank * config_.banksPerRank + coord.bank];
+        RankWindow &rank = ranks_[coord.rank];
+        const bool is_write = type == AccessType::Write;
+
+        Cycle cas_ready, act_at;
+        const RowOutcome outcome =
+            bank.schedule(config_, coord.row, when,
+                          rank.readyFor(config_), cas_ready, act_at);
+        if (act_at != ~Cycle(0)) {
+            rank.record(act_at);
+            ++activity.activates;
+        }
+        switch (outcome) {
+          case RowOutcome::Hit:
+            ++activity.rowHits;
+            break;
+          case RowOutcome::Closed:
+            ++activity.rowClosed;
+            break;
+          case RowOutcome::Conflict:
+            ++activity.rowConflicts;
+            break;
+        }
+
+        const unsigned cas_latency =
+            is_write ? config_.tCWL : config_.tCL;
+        const Cycle data_ready = cas_ready + config_.cpu(cas_latency);
+        const Cycle data_start = std::max(data_ready, busFreeAt);
+        busFreeAt = data_start + config_.cpu(config_.tBURST);
+        activity.busBusyCycles += config_.cpu(config_.tBURST);
+
+        const Cycle cas_at = data_start - config_.cpu(cas_latency);
+        bank.complete(config_, cas_at, data_start, is_write);
+        if (is_write)
+            ++activity.writes;
+        else
+            ++activity.reads;
+
+        const Cycle done = data_start + config_.cpu(config_.tBURST);
+        if (timing) {
+            timing->submit = when;
+            timing->burstStart = data_start;
+            timing->complete = done;
+            timing->queued = false;
+        }
+        return done;
+    }
+
+    DramConfig config_;
+    std::vector<Bank> banks_;
+    std::vector<RankWindow> ranks_;
+    std::vector<DramCoord> writeQueue_;
+    std::vector<std::uint64_t> refreshesDone_;
+};
+
+bool
+sameActivity(const ChannelActivity &a, const ChannelActivity &b)
+{
+    return a.reads == b.reads && a.writes == b.writes &&
+           a.activates == b.activates && a.refreshes == b.refreshes &&
+           a.rowHits == b.rowHits && a.rowClosed == b.rowClosed &&
+           a.rowConflicts == b.rowConflicts &&
+           a.writeDrains == b.writeDrains &&
+           a.busBusyCycles == b.busBusyCycles;
+}
+
+/** DramSystem against per-channel references over one seeded stream
+ *  mixing row hits, same-bank conflicts and scattered lines, submitted
+ *  at jittered non-decreasing cycles. */
+void
+checkAgainstBankReference(const DramConfig &config, std::uint64_t seed)
+{
+    DramSystem dram(config);
+    std::vector<ReferenceChannel> reference;
+    for (unsigned c = 0; c < config.channels; ++c)
+        reference.emplace_back(config);
+    const std::uint64_t row_group = std::uint64_t(config.channels) *
+                                    config.linesPerRow *
+                                    config.banksPerRank *
+                                    config.ranksPerChannel;
+    Rng rng(seed);
+    Cycle when = 0;
+    LineAddr cursor = 0;
+    for (unsigned i = 0; i < 20000; ++i) {
+        LineAddr line;
+        switch (rng.below(3)) {
+          case 0: // streaming: mostly row hits
+            line = cursor++;
+            break;
+          case 1: // a few rows of one bank: conflicts
+            line = rng.below(4) * row_group + rng.below(8);
+            break;
+          default:
+            line = rng.below(1ull << 28);
+            break;
+        }
+        const AccessType type = rng.chance(0.4) ? AccessType::Write
+                                                : AccessType::Read;
+        // Bursts at one cycle, short gaps, and rare idle stretches
+        // long enough to cross refresh intervals.
+        const unsigned shape = unsigned(rng.below(16));
+        when += shape < 4    ? 0
+                : shape < 15 ? rng.below(64)
+                             : rng.below(40000);
+
+        const DramCoord coord = decodeLine(config, line);
+        DramAccessTiming got, want;
+        want.channel = coord.channel;
+        const Cycle done = dram.access(line, type, when, &got);
+        ASSERT_EQ(done,
+                  reference[coord.channel].access(coord, type, when,
+                                                  &want))
+            << "access " << i;
+        ASSERT_EQ(got.submit, want.submit) << "access " << i;
+        ASSERT_EQ(got.burstStart, want.burstStart) << "access " << i;
+        ASSERT_EQ(got.complete, want.complete) << "access " << i;
+        ASSERT_EQ(got.channel, want.channel) << "access " << i;
+        ASSERT_EQ(got.queued, want.queued) << "access " << i;
+        for (unsigned c = 0; c < config.channels; ++c)
+            ASSERT_TRUE(sameActivity(dram.activity(c),
+                                     reference[c].activity))
+                << "access " << i << ", channel " << c;
+    }
+    // The stream reached every row outcome and, when on, the refresh
+    // and drain paths.
+    const ChannelActivity total = dram.totalActivity();
+    EXPECT_GT(total.rowHits, 0u);
+    EXPECT_GT(total.rowClosed, 0u);
+    EXPECT_GT(total.rowConflicts, 0u);
+    EXPECT_EQ(total.refreshes > 0, config.refresh);
+    EXPECT_EQ(total.writeDrains > 0, config.writeQueueing);
+}
+
+TEST(DramTiming, InlineChannelMatchesBankReference)
+{
+    DramConfig odd; // no field a power of two
+    odd.channels = 3;
+    odd.ranksPerChannel = 3;
+    odd.banksPerRank = 6;
+    odd.linesPerRow = 96;
+    std::uint64_t seed = 41;
+    for (DramConfig config : {DramConfig{}, odd})
+        for (const bool refresh : {false, true})
+            for (const bool queueing : {false, true}) {
+                config.refresh = refresh;
+                config.writeQueueing = queueing;
+                SCOPED_TRACE(testing::Message()
+                             << config.channels << " channels, refresh "
+                             << refresh << ", write queueing "
+                             << queueing);
+                checkAgainstBankReference(config, ++seed);
+            }
 }
 
 TEST(DramTiming, RowHitFasterThanRowMiss)

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/rng.hh"
 #include "workloads/workload_db.hh"
@@ -216,6 +219,70 @@ TEST(PagePermutationTest, ScattersNeighbours)
     for (std::uint64_t v = 0; v + 1 < 1000; ++v)
         adjacent += perm(v + 1) == perm(v) + 1;
     EXPECT_LT(adjacent, 10u);
+}
+
+/** The gap formula geometricGap replaced, kept as its reference. */
+std::uint32_t
+log1pGap(double mean, double u)
+{
+    const double gap = -mean * std::log1p(-u);
+    return std::uint32_t(std::min(gap, 1e6));
+}
+
+TEST(TraceGenerators, GeometricGapMatchesLog1pFormula)
+{
+    // Rng::uniform yields u = k * 2^-53 for k in [0, 2^53); every probe
+    // lies on that lattice.
+    constexpr std::int64_t lattice = std::int64_t(1) << 53;
+    std::uint64_t checked = 0;
+    std::uint64_t naive_misses = 0; // plain log(1 - u) truncated wrong
+    const auto check = [&](double mean, std::int64_t k) {
+        const double u = double(k) * 0x1p-53;
+        const std::uint32_t want = log1pGap(mean, u);
+        ASSERT_EQ(geometricGap(mean, u), want)
+            << "mean " << mean << ", u = " << k << " * 2^-53";
+        naive_misses += std::uint32_t(std::min(
+                           -mean * std::log(1.0 - u), 1e6)) != want;
+        ++checked;
+    };
+    // The 64 lattice points either side of real u.
+    const auto around = [&](double mean, double u) {
+        const std::int64_t centre = std::llround(u * 0x1p53);
+        for (std::int64_t k = std::max<std::int64_t>(0, centre - 64);
+             k <= std::min(lattice - 1, centre + 64); ++k)
+            check(mean, k);
+    };
+    // The gap reaches integer g at u = -expm1(-g / mean).
+    const auto threshold = [](double mean, double g) {
+        return -std::expm1(-g / mean);
+    };
+
+    std::vector<double> means;
+    for (const WorkloadSpec &spec : workloadTable())
+        means.push_back(1000.0 / (spec.readPki + spec.writePki));
+    for (const double mean : means) {
+        Rng rng(std::uint64_t(mean * 1000));
+        for (unsigned i = 0; i < 100000; ++i)
+            check(mean, std::int64_t(rng.next() >> 11));
+        // u = 1 - 2^-53 gives the largest gap, 36.7 * mean.
+        for (double g = 1; g <= 37 * mean; ++g)
+            around(mean, threshold(mean, g));
+        around(mean, threshold(mean, 1e6)); // rounds to 1: the top end
+        check(mean, 0);
+        check(mean, lattice - 1);
+    }
+    // Table means never reach the 1e6 clamp; these do, and the
+    // integers below it cover the fast path's upper edge.
+    for (const double mean : {3e4, 1e5, 1e6}) {
+        for (double g = 1e6 - 100; g <= 1e6 + 1; ++g)
+            around(mean, threshold(mean, g));
+        check(mean, 0);
+        check(mean, lattice - 1);
+    }
+    EXPECT_GT(checked, 5000000u);
+    // The probes reach values where log and log1p truncate apart, so
+    // they exercise the fallback, not just the fast path.
+    EXPECT_GT(naive_misses, 0u);
 }
 
 TEST(WorkloadDb, TableMatchesPaper)

@@ -30,11 +30,13 @@
  *      morphbench depend on), re-validated here independently of the
  *      registry's own registration check.
  *   7. Runtime prof scope names — every MORPH_PROF_SCOPE site the
- *      instrumented hot path registers (morphprof, common/prof.hh)
- *      must satisfy the same [a-z0-9_.]+ contract and be unique; the
- *      sites are enumerated by actually executing a miniature
- *      simulation, a pool task and the crypto/tree kernels, so a
- *      scope added anywhere on the hot path is covered automatically.
+ *      simulator registers (morphprof, common/prof.hh) must satisfy
+ *      the same [a-z0-9_.]+ contract and be unique; the sites are
+ *      enumerated by actually executing a miniature simulation run, a
+ *      pool task and the crypto/tree kernels, so a scope added to any
+ *      of those phases is covered automatically. The simulator's
+ *      per-access path carries no scopes: they are coarse phases
+ *      (sim.run, sim.warmup/measure, secmem.overflow, pool.task, ...).
  *
  * INI files may also carry [lint.zcc] / [lint.geometry] sections that
  * *override* the expected values; this is how the test suite feeds
@@ -552,9 +554,9 @@ checkStatNames(Lint &lint, const std::string &where,
  * MORPH_PROF_SCOPE site constructs its static ProfSite on the first
  * pass through the line (enabled or not), so the enumeration must
  * *execute* the instrumented paths, not merely construct objects:
- * a miniature simulation covers the sim/secmem/dram scopes, a
- * two-worker pool session covers pool.task, and direct calls cover
- * the crypto engines and the integrity-tree kernels.
+ * a miniature simulation covers sim.run, a two-worker pool session
+ * covers pool.task, and direct calls cover the crypto engines and
+ * the integrity-tree kernels.
  */
 /** Execute the crypto and integrity-tree kernels once so their scope
  *  sites register. All-zero keys, and every pad/tag output is

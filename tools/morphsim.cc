@@ -182,8 +182,53 @@ listWorkloads()
     }
 }
 
+/**
+ * Check a real-valued setting given by a flag (--scale, --mem-gb) or
+ * an INI key (system.scale, system.mem_gb): @p text must be a whole,
+ * finite, non-negative number (parseReal), and a capacity in GiB
+ * (@p gib) must have a byte count that fits in 64 bits, because
+ * converting a larger double to an integer is undefined. Returns
+ * nullptr and stores the value in @p out, or says what is wrong.
+ */
+const char *
+checkRealSetting(const char *text, bool gib, double &out)
+{
+    const std::optional<double> v = parseReal(text);
+    if (!v || *v < 0.0)
+        return "needs a non-negative number";
+    if (gib && *v >= double(~std::uint64_t(0) >> 30))
+        return "is out of range";
+    out = *v;
+    return nullptr;
+}
+
+/** Bytes in @p gb GiB (checked by checkRealSetting). */
+std::uint64_t
+gibToBytes(double gb)
+{
+    return std::uint64_t(gb * double(1ull << 30));
+}
+
+/** Real INI key @p key through checkRealSetting, nullopt if absent;
+ *  exits with exitBadConfig on a bad value. */
+std::optional<double>
+realKey(const IniFile &ini, const std::string &path, const char *key,
+        bool gib = false)
+{
+    if (!ini.has(key))
+        return std::nullopt;
+    double v = 0.0;
+    const std::string text = ini.getString(key);
+    if (const char *why = checkRealSetting(text.c_str(), gib, v)) {
+        std::fprintf(stderr, "morphsim: config %s: %s %s (got '%s')\n",
+                     path.c_str(), key, why, text.c_str());
+        std::exit(exitBadConfig);
+    }
+    return v;
+}
+
 /** Apply an INI config file onto the option structs; exits with
- *  exitBadConfig on unreadable files and unknown keys. */
+ *  exitBadConfig on unreadable files, unknown keys and bad values. */
 void
 applyConfigFile(const std::string &path, std::string &workload,
                 std::string &trace_path, std::string &config_name,
@@ -221,10 +266,8 @@ applyConfigFile(const std::string &path, std::string &workload,
     workload = ini.getString("system.workload", workload);
     trace_path = ini.getString("system.trace", trace_path);
     config_name = ini.getString("system.config", config_name);
-    secmem.memBytes = std::uint64_t(
-        ini.getDouble("system.mem_gb",
-                      double(secmem.memBytes) / double(1ull << 30)) *
-        double(1ull << 30));
+    if (const auto gb = realKey(ini, path, "system.mem_gb", true))
+        secmem.memBytes = gibToBytes(*gb);
     secmem.metadataCacheBytes = std::size_t(
         ini.getInt("system.cache_kb",
                    std::int64_t(secmem.metadataCacheBytes / 1024)) *
@@ -233,8 +276,8 @@ applyConfigFile(const std::string &path, std::string &workload,
         "system.accesses", std::int64_t(options.accessesPerCore)));
     options.warmupPerCore = std::uint64_t(ini.getInt(
         "system.warmup", std::int64_t(options.warmupPerCore)));
-    options.footprintScale =
-        ini.getDouble("system.scale", options.footprintScale);
+    if (const auto scale = realKey(ini, path, "system.scale"))
+        options.footprintScale = *scale;
     options.seed = std::uint64_t(
         ini.getInt("system.seed", std::int64_t(options.seed)));
     options.timing = ini.getBool("system.timing", options.timing);
@@ -299,15 +342,15 @@ countFlag(const std::string &arg, const char *text)
     return *v;
 }
 
-/** Parse a non-negative real option value; exits with code 2 on junk,
- *  nan, infinite or negative input (see flag_parse.hh). */
+/** Real option value through checkRealSetting; exits with code 2 on
+ *  junk, nan, infinite, negative or (@p gib) oversized input. */
 double
-realFlag(const std::string &arg, const char *text)
+realFlag(const std::string &arg, const char *text, bool gib = false)
 {
-    const std::optional<double> v = parseReal(text);
-    if (!v || *v < 0.0)
-        badFlag("option %s needs a non-negative number", arg.c_str());
-    return *v;
+    double v = 0.0;
+    if (const char *why = checkRealSetting(text, gib, v))
+        badFlag(("option %s " + std::string(why)).c_str(), arg.c_str());
+    return v;
 }
 
 /** Expand a --sweep list ("all" or comma-separated names) into
@@ -498,12 +541,7 @@ main(int argc, char **argv)
         } else if (arg == "--config") {
             config_name = value();
         } else if (arg == "--mem-gb") {
-            const double gb = realFlag(arg, value());
-            // The byte count must fit in 64 bits: converting a larger
-            // double to an integer is undefined.
-            if (gb >= double(~std::uint64_t(0) >> 30))
-                badFlag("option %s is out of range", arg.c_str());
-            secmem.memBytes = std::uint64_t(gb * double(1ull << 30));
+            secmem.memBytes = gibToBytes(realFlag(arg, value(), true));
         } else if (arg == "--cache-kb") {
             secmem.metadataCacheBytes =
                 std::size_t(countFlag(arg, value())) * 1024;
