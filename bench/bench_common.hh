@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
+#include "common/parse.hh"
 #include "common/run_pool.hh"
 #include "sim/simulator.hh"
 
@@ -34,15 +36,18 @@ namespace morph
 namespace bench
 {
 
+/** Footprint divisor: MORPH_SIM_SCALE (a number >= 1) when set, else
+ *  @p fallback; fatal() on any other value. */
 inline double
 envScale(double fallback)
 {
-    if (const char *env = std::getenv("MORPH_SIM_SCALE")) {
-        const double v = std::atof(env);
-        if (v >= 1.0)
-            return v;
-    }
-    return fallback;
+    const char *env = std::getenv("MORPH_SIM_SCALE");
+    if (env == nullptr)
+        return fallback;
+    const std::optional<double> v = parseReal(env);
+    if (!v || *v < 1.0)
+        fatal("MORPH_SIM_SCALE needs a number >= 1 (got '%s')", env);
+    return *v;
 }
 
 /** Timed-simulation preset (Figs 5, 15, 16, 18, 19, 20). */
@@ -78,17 +83,19 @@ modelConfig(TreeConfig tree)
     return config;
 }
 
-/** Worker count for the figure sweeps: MORPH_BENCH_JOBS when set to
- *  a value >= 1, else hardware concurrency. */
+/** Worker count for the figure sweeps: MORPH_BENCH_JOBS (an integer
+ *  >= 1) when set, else hardware concurrency; fatal() on any other
+ *  value. */
 inline unsigned
 envJobs()
 {
-    if (const char *env = std::getenv("MORPH_BENCH_JOBS")) {
-        const long long v = std::atoll(env);
-        if (v >= 1)
-            return unsigned(v);
-    }
-    return RunPool::hardwareJobs();
+    const char *env = std::getenv("MORPH_BENCH_JOBS");
+    if (env == nullptr)
+        return RunPool::hardwareJobs();
+    const std::optional<std::uint64_t> v = parseCount(env);
+    if (!v || *v < 1 || *v > ~0u)
+        fatal("MORPH_BENCH_JOBS needs an integer >= 1 (got '%s')", env);
+    return unsigned(*v);
 }
 
 /** One independent cell of a figure's (workload, config) grid. */

@@ -11,16 +11,17 @@
  *
  * Keys outside any section live in the "" section. Lookups are by
  * "section.key" (or bare "key" for the default section). Values are
- * strings with typed accessors; unknown keys can be enumerated so
- * callers can reject typos.
+ * strings; what a key means and which values it takes is the
+ * reader's business (the simulator's keys: sim/sim_settings.hh).
  */
 
 #ifndef MORPH_COMMON_INI_HH
 #define MORPH_COMMON_INI_HH
 
-#include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace morph
@@ -30,42 +31,36 @@ namespace morph
 class IniFile
 {
   public:
+    /** One "section.key = value" assignment. */
+    using Entry = std::pair<std::string, std::string>;
+
     IniFile() = default;
 
-    /** Parse a file from disk; fatal() on open/parse errors. */
-    static IniFile fromFile(const std::string &path);
+    /** Parse a file from disk; nullopt, with @p error saying where
+     *  and why, if it cannot be opened or has a syntax error. */
+    static std::optional<IniFile> fromFile(const std::string &path,
+                                           std::string &error);
 
-    /** Parse from a stream (tests); fatal() on parse errors. */
-    static IniFile fromStream(std::istream &input,
-                              const std::string &name);
+    /** Parse from a stream named @p name in errors; as fromFile. */
+    static std::optional<IniFile> fromStream(std::istream &input,
+                                             const std::string &name,
+                                             std::string &error);
 
     /** True if "section.key" (or "key") is present. */
     bool has(const std::string &dotted_key) const;
 
-    /** String value; @p fallback if absent. */
+    /** String value (the last assignment wins); @p fallback if
+     *  absent. */
     std::string getString(const std::string &dotted_key,
                           const std::string &fallback = "") const;
 
-    /** Integer value; fatal() if present but unparsable. */
-    std::int64_t getInt(const std::string &dotted_key,
-                        std::int64_t fallback) const;
-
-    /** Double value; fatal() if present but unparsable. */
-    double getDouble(const std::string &dotted_key,
-                     double fallback) const;
-
-    /** Boolean: true/false/1/0/yes/no/on/off. */
-    bool getBool(const std::string &dotted_key, bool fallback) const;
-
-    /** All keys, dotted, in file order (for typo checking). */
-    const std::vector<std::string> &keys() const { return order_; }
+    /** Every assignment, dotted, in file order (repeats included). */
+    const std::vector<Entry> &entries() const { return entries_; }
 
   private:
     const std::string *find(const std::string &dotted_key) const;
 
-    std::vector<std::string> order_;
-    std::vector<std::pair<std::string, std::string>> values_;
-    std::string name_ = "<none>";
+    std::vector<Entry> entries_;
 };
 
 } // namespace morph

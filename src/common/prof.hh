@@ -29,8 +29,8 @@
  * (perfbench times its layers from outside).
  *
  * Scope names follow the morphscope naming contract — [a-z0-9_.]+ and
- * unique per site (enforced at registration, re-derived by morphlint
- * rule 7). Keep MORPH_PROF_SCOPE out of headers and inline functions:
+ * unique per site, enforced at registration (pinned by the
+ * ProfDeathTest suite). Keep MORPH_PROF_SCOPE out of headers and inline functions:
  * a site duplicated across translation units registers its name twice
  * and panics.
  *
@@ -148,10 +148,6 @@ void profEnable();
 
 /** Name the calling thread in reports ("main", "worker3", ...). */
 void profSetThreadName(const std::string &name);
-
-/** Names of every site registered so far, in registration order
- *  (morphlint rule 7 enumerates these after an instrumented run). */
-std::vector<std::string> profSiteNames();
 
 /** Per-worker RunPool telemetry as it appears in a profile. */
 struct ProfWorkerStats

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "common/log.hh"
+#include "common/parse.hh"
 #include "common/prof.hh"
 #include "workloads/trace_file.hh"
 
@@ -14,14 +15,19 @@ SimOptions
 SimOptions::fromEnv(SimOptions defaults)
 {
     if (const char *env = std::getenv("MORPH_SIM_ACCESSES")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            defaults.accessesPerCore = std::uint64_t(v);
+        const std::optional<std::uint64_t> v = parseCount(env);
+        if (!v || *v < 1)
+            fatal("MORPH_SIM_ACCESSES needs an integer >= 1 (got '%s')",
+                  env);
+        defaults.accessesPerCore = *v;
     }
     if (const char *env = std::getenv("MORPH_SIM_WARMUP")) {
-        const long long v = std::atoll(env);
-        if (v >= 0)
-            defaults.warmupPerCore = std::uint64_t(v);
+        const std::optional<std::uint64_t> v = parseCount(env);
+        if (!v)
+            fatal("MORPH_SIM_WARMUP needs a non-negative integer "
+                  "(got '%s')",
+                  env);
+        defaults.warmupPerCore = *v;
     }
     return defaults;
 }

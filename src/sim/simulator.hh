@@ -41,7 +41,8 @@ struct SimOptions
      *  here; see docs/SIMULATOR.md). */
     DramConfig dram;
 
-    /** Apply MORPH_SIM_ACCESSES / MORPH_SIM_WARMUP overrides. */
+    /** Apply MORPH_SIM_ACCESSES (>= 1) / MORPH_SIM_WARMUP (>= 0)
+     *  overrides; fatal() on a value that is not such an integer. */
     static SimOptions fromEnv(SimOptions defaults);
 
     /** Defaults plus environment overrides. */

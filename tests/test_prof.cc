@@ -231,19 +231,6 @@ TEST_F(ProfTest, ReportFreezesTheProfile)
     EXPECT_TRUE(profEnabled());
 }
 
-TEST_F(ProfTest, SiteNamesEnumerateRegisteredScopes)
-{
-    // Sites register on first execution of their line even with
-    // profiling off — that is what morphlint rule 7 relies on.
-    {
-        MORPH_PROF_SCOPE("testprof.enumerated");
-    }
-    const std::vector<std::string> names = profSiteNames();
-    EXPECT_NE(std::find(names.begin(), names.end(),
-                        "testprof.enumerated"),
-              names.end());
-}
-
 TEST_F(ProfTest, PoolTelemetryTasksSumToSessionCount)
 {
     profEnable();

@@ -21,48 +21,38 @@
  *      recomputed with independent arithmetic (ceil-division chains)
  *      and compared against TreeGeometry, including slab placement
  *      and total-footprint accounting.
- *   5. Simulator configs — every *.ini passed on the command line is
- *      validated: known keys, resolvable workload/config names, sane
- *      sizes, and the geometry its settings imply.
- *   6. Runtime stat names — every statistic a fully-assembled system
- *      registers into the morphscope registry must match [a-z0-9_.]+
- *      and be unique (the naming contract the JSON/CSV exporters and
- *      morphbench depend on), re-validated here independently of the
- *      registry's own registration check.
- *   7. Runtime prof scope names — every MORPH_PROF_SCOPE site the
- *      simulator registers (morphprof, common/prof.hh) must satisfy
- *      the same [a-z0-9_.]+ contract and be unique; the sites are
- *      enumerated by actually executing a miniature simulation run, a
- *      pool task and the crypto/tree kernels, so a scope added to any
- *      of those phases is covered automatically. The simulator's
- *      per-access path carries no scopes: they are coarse phases
- *      (sim.run, sim.warmup/measure, secmem.overflow, pool.task, ...).
+ *   5. Config files — each *.ini on the command line is read by the
+ *      simulator's own settings schema (sim/sim_settings.hh), so a
+ *      config lints clean exactly when morphsim accepts it; the tree
+ *      and memory size it sets then go through the geometry check of
+ *      rule 4. Parsing a config is not a spec, so it has no second,
+ *      independent copy here.
  *
- * INI files may also carry [lint.zcc] / [lint.geometry] sections that
- * *override* the expected values; this is how the test suite feeds
- * morphlint a deliberately wrong specification and asserts a non-zero
- * exit. Exit status: 0 if every check passes, 1 otherwise.
+ * Stat and profiler scope names are not re-checked here: StatRegistry
+ * and ProfSite panic on an invalid or duplicate name at registration,
+ * pinned by the StatName / StatRegistryDeathTest / ProfDeathTest
+ * suites and exercised by every test that builds a scoped system.
+ *
+ * INI files may also carry [lint.zcc], [lint.mcr], [lint.sc],
+ * [lint.morph] and [lint.geometry] sections that *override* the
+ * expected values; this is how the test suite feeds morphlint a
+ * deliberately wrong specification and asserts a non-zero exit.
+ * Exit status: 0 if every check passes, 1 on any finding (an INI
+ * syntax error or bad setting included), 2 on a usage or I/O error.
  */
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include <algorithm>
-
 #include "common/bitfield.hh"
 #include "common/ini.hh"
-#include "common/prof.hh"
-#include "common/run_pool.hh"
 #include "common/types.hh"
-#include "crypto/mac.hh"
-#include "crypto/otp.hh"
-#include "integrity/integrity_tree.hh"
 #include "counters/counter_factory.hh"
 #include "counters/mcr_codec.hh"
 #include "counters/split_counter.hh"
@@ -70,8 +60,7 @@
 #include "flag_parse.hh"
 #include "integrity/tree_config.hh"
 #include "integrity/tree_geometry.hh"
-#include "sim/system.hh"
-#include "workloads/workload_db.hh"
+#include "sim/sim_settings.hh"
 
 namespace
 {
@@ -367,38 +356,6 @@ checkLayoutProbes(Lint &lint)
 // 4. Tree geometry
 // ---------------------------------------------------------------------
 
-struct NamedConfig
-{
-    const char *name;
-    TreeConfig config;
-};
-
-std::vector<NamedConfig>
-namedConfigs()
-{
-    return {
-        {"sc64", TreeConfig::sc64()},
-        {"vault", TreeConfig::vault()},
-        {"morph", TreeConfig::morph()},
-        {"morph-zcc", TreeConfig::morphZccOnly()},
-        {"sc128", TreeConfig::sc128()},
-        {"sgx", TreeConfig::sgx()},
-        {"bmt", TreeConfig::bonsaiMacTree()},
-    };
-}
-
-bool
-lookupConfig(const std::string &name, TreeConfig &out)
-{
-    for (auto &named : namedConfigs()) {
-        if (name == named.name) {
-            out = named.config;
-            return true;
-        }
-    }
-    return false;
-}
-
 void
 checkGeometry(Lint &lint, const std::string &name,
               const TreeConfig &config, std::uint64_t mem_bytes)
@@ -473,175 +430,45 @@ checkGeometry(Lint &lint, const std::string &name,
 void
 checkAllGeometries(Lint &lint, std::uint64_t mem_bytes)
 {
-    for (auto &named : namedConfigs())
-        checkGeometry(lint, named.name, named.config, mem_bytes);
+    for (const std::string &name : treeConfigNames())
+        checkGeometry(lint, name, *treeConfigByName(name), mem_bytes);
 }
 
 // ---------------------------------------------------------------------
-// 6. Runtime stat-name contract
+// 5. INI files: simulator settings and lint spec overrides
 // ---------------------------------------------------------------------
 
-/** The naming contract, re-derived (deliberately NOT a call into
- *  isValidStatName — the lint must catch a drifted implementation). */
-bool
-lintStatNameOk(const std::string &name)
+/** The [lint.*] spec keys; every other key is a simulator setting. */
+const char *const lintKeys[] = {
+    "lint.zcc.buckets",          "lint.geometry.config",
+    "lint.geometry.mem_gb",      "lint.geometry.tree_levels",
+    "lint.geometry.metadata_mb", "lint.mcr.major_bits",
+    "lint.mcr.base_bits",        "lint.mcr.minor_bits",
+    "lint.sc.arity",             "lint.sc.minor_bits",
+    "lint.morph.otp_counter_bits",
+};
+
+/** Spec integer @p key, or @p fallback if absent; nullopt, with a
+ *  finding, if it is not a non-negative integer. */
+std::optional<std::uint64_t>
+specCount(Lint &lint, const std::string &where, const IniFile &ini,
+          const std::string &key, std::uint64_t fallback)
 {
-    if (name.empty())
-        return false;
-    for (const char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= '0' && c <= '9') || c == '_' || c == '.';
-        if (!ok)
-            return false;
-    }
-    return true;
-}
-
-/**
- * Every stat name a fully-assembled system registers: build the
- * richest system variant (occupancy gauges and timing histograms
- * included) and enumerate its morphscope registry. Registration only
- * — no simulation is run.
- */
-const std::vector<std::string> &
-runtimeStatNames()
-{
-    static const std::vector<std::string> names = [] {
-        SystemConfig config;
-        config.secmem.tree = TreeConfig::morph();
-        const WorkloadSpec *spec = findWorkload("mcf");
-        std::vector<std::unique_ptr<TraceSource>> traces;
-        for (unsigned core = 0; core < config.numCores; ++core)
-            traces.push_back(makeWorkloadTrace(
-                *spec, core, config.numCores, config.secmem.memBytes,
-                1, 1.0));
-        SimSystem system(config, std::move(traces));
-        ScopeConfig scope_config;
-        scope_config.occupancy = true;
-        MorphScope scope(scope_config);
-        system.attachScope(&scope);
-        return scope.registry().names();
-    }();
-    return names;
-}
-
-void
-checkStatNames(Lint &lint, const std::string &where,
-               std::vector<std::string> names)
-{
-    lint.expectTrue(where, "system registers at least one stat",
-                    !names.empty());
-    for (const std::string &name : names) {
-        lint.expectTrue(where,
-                        "stat name '" + name +
-                            "' matches [a-z0-9_.]+",
-                        lintStatNameOk(name));
-    }
-    std::sort(names.begin(), names.end());
-    for (std::size_t i = 1; i < names.size(); ++i) {
-        if (names[i] == names[i - 1])
-            lint.fail(where, "stat name '" + names[i] +
-                                 "' registered more than once");
-    }
-}
-
-// ---------------------------------------------------------------------
-// 7. Runtime prof scope-name contract
-// ---------------------------------------------------------------------
-
-/**
- * Every profiler scope name the instrumented binary registers. A
- * MORPH_PROF_SCOPE site constructs its static ProfSite on the first
- * pass through the line (enabled or not), so the enumeration must
- * *execute* the instrumented paths, not merely construct objects:
- * a miniature simulation covers sim.run, a two-worker pool session
- * covers pool.task, and direct calls cover the crypto engines and
- * the integrity-tree kernels.
- */
-/** Execute the crypto and integrity-tree kernels once so their scope
- *  sites register. All-zero keys, and every pad/tag output is
- *  discarded on the spot: nothing secret flows into the caller. */
-void
-touchKernelProfSites()
-{
-    const SipKey sip_key = {};
-    const Aes128::Key aes_key = {};
-    OtpEngine otp(aes_key);
-    (void)otp.pad(LineAddr{0}, 1);
-    MacEngine mac(sip_key);
-    CachelineData payload = {};
-    (void)mac.compute(LineAddr{0}, 1, payload);
-    IntegrityTree tree(1ull << 24, TreeConfig::morph(), sip_key);
-    (void)tree.bumpCounter(LineAddr{0});
-    (void)tree.verify(LineAddr{0});
-}
-
-const std::vector<std::string> &
-runtimeProfNames()
-{
-    static const std::vector<std::string> names = [] {
-        {
-            SystemConfig config;
-            config.secmem.tree = TreeConfig::morph();
-            const WorkloadSpec *spec = findWorkload("mcf");
-            std::vector<std::unique_ptr<TraceSource>> traces;
-            for (unsigned core = 0; core < config.numCores; ++core)
-                traces.push_back(makeWorkloadTrace(
-                    *spec, core, config.numCores,
-                    config.secmem.memBytes, 1, 1.0));
-            SimSystem system(config, std::move(traces));
-            system.run(64);
-        }
-        {
-            RunPool pool(2);
-            pool.forEach(4, [](std::size_t) {});
-        }
-        touchKernelProfSites();
-        return profSiteNames();
-    }();
-    return names;
-}
-
-void
-checkProfNames(Lint &lint, const std::string &where,
-               std::vector<std::string> names)
-{
-    lint.expectTrue(where, "hot path registers at least one scope",
-                    !names.empty());
-    for (const std::string &name : names) {
-        lint.expectTrue(where,
-                        "prof scope '" + name +
-                            "' matches [a-z0-9_.]+",
-                        lintStatNameOk(name));
-    }
-    std::sort(names.begin(), names.end());
-    for (std::size_t i = 1; i < names.size(); ++i) {
-        if (names[i] == names[i - 1])
-            lint.fail(where, "prof scope '" + names[i] +
-                                 "' registered more than once");
-    }
-}
-
-// ---------------------------------------------------------------------
-// 5. INI validation (simulator configs + lint spec overrides)
-// ---------------------------------------------------------------------
-
-bool
-workloadExists(const std::string &name)
-{
-    for (const auto &spec : workloadTable())
-        if (spec.name == name)
-            return true;
-    for (const auto &mix : mixTable())
-        if (mix.name == name)
-            return true;
-    return false;
+    if (!ini.has(key))
+        return fallback;
+    const std::string text = ini.getString(key);
+    const std::optional<std::uint64_t> v = parseCount(text.c_str());
+    if (!v)
+        lint.fail(where, key + " needs a non-negative integer (got '" +
+                             text + "')");
+    return v;
 }
 
 std::vector<Bucket>
 parseBuckets(Lint &lint, const std::string &where,
              const std::string &text)
 {
+    constexpr std::uint64_t maxField = ~0u;
     std::vector<Bucket> buckets;
     std::size_t pos = 0;
     while (pos < text.size()) {
@@ -650,15 +477,17 @@ parseBuckets(Lint &lint, const std::string &where,
             comma = text.size();
         const std::string item = text.substr(pos, comma - pos);
         const std::size_t colon = item.find(':');
-        if (colon == std::string::npos) {
+        const auto bound = parseCount(item.substr(0, colon).c_str());
+        const auto width =
+            colon == std::string::npos
+                ? std::nullopt
+                : parseCount(item.substr(colon + 1).c_str());
+        if (!bound || !width || *bound > maxField || *width > maxField) {
             lint.fail(where, "malformed bucket '" + item +
                                  "' (want BOUND:WIDTH)");
             return {};
         }
-        buckets.push_back(
-            {unsigned(std::strtoul(item.c_str(), nullptr, 10)),
-             unsigned(std::strtoul(item.c_str() + colon + 1, nullptr,
-                                   10))});
+        buckets.push_back({unsigned(*bound), unsigned(*width)});
         pos = comma + 1;
     }
     return buckets;
@@ -667,88 +496,29 @@ parseBuckets(Lint &lint, const std::string &where,
 void
 checkIniFile(Lint &lint, const std::string &path)
 {
-    const IniFile ini = IniFile::fromFile(path);
     const std::string where = "config/" + path;
+    std::string error;
+    const std::optional<IniFile> parsed = IniFile::fromFile(path, error);
+    if (!parsed) {
+        lint.fail(where, error);
+        return;
+    }
+    const IniFile &ini = *parsed;
 
-    static const char *known[] = {
-        "system.workload", "system.trace", "system.config",
-        "system.mem_gb", "system.cache_kb", "system.accesses",
-        "system.warmup", "system.scale", "system.seed",
-        "system.timing", "controller.separate_macs",
-        "controller.spec_verify", "controller.ctr_prefetch",
-        "controller.demote_enc", "persist.mode",
-        "persist.epoch_writes", "dram.refresh",
-        "dram.write_queueing", "dram.channels", "dram.ranks",
-        "lint.zcc.buckets", "lint.geometry.config",
-        "lint.geometry.mem_gb", "lint.geometry.tree_levels",
-        "lint.geometry.metadata_mb", "lint.mcr.major_bits",
-        "lint.mcr.base_bits", "lint.mcr.minor_bits", "lint.sc.arity",
-        "lint.sc.minor_bits", "lint.morph.otp_counter_bits",
-        "lint.stats.extra_name", "lint.prof.extra_scope",
-    };
-    for (const std::string &key : ini.keys()) {
-        bool ok = false;
-        for (const char *candidate : known)
-            ok = ok || key == candidate;
-        if (!ok)
+    // --- simulator settings: judged by the simulator's own schema,
+    // then the geometry they imply by the independent rule 4 ---
+    SimSetup setup;
+    for (const std::string &why : applySettings(setup, ini, "lint."))
+        lint.fail(where, why);
+    for (const IniFile::Entry &entry : ini.entries()) {
+        const std::string &key = entry.first;
+        if (key.starts_with("lint.") &&
+            std::find(std::begin(lintKeys), std::end(lintKeys), key) ==
+                std::end(lintKeys))
             lint.fail(where, "unknown key '" + key + "'");
     }
-
-    // --- simulator settings ---
-    if (ini.has("system.workload")) {
-        const std::string workload = ini.getString("system.workload");
-        lint.expectTrue(where, "workload '" + workload + "' exists",
-                        workloadExists(workload));
-    }
-
-    TreeConfig tree = TreeConfig::morph();
-    bool have_tree = true;
-    if (ini.has("system.config")) {
-        const std::string name = ini.getString("system.config");
-        have_tree = lookupConfig(name, tree);
-        lint.expectTrue(where, "config '" + name + "' is a known tree",
-                        have_tree);
-    }
-
-    const double mem_gb = ini.getDouble("system.mem_gb", 16.0);
-    lint.expectTrue(where, "mem_gb is positive", mem_gb > 0);
-    const std::uint64_t mem_bytes =
-        std::uint64_t(mem_gb * double(1ull << 30));
-    lint.expectTrue(where, "memory is a whole number of cachelines",
-                    mem_bytes > 0 && mem_bytes % lineBytes == 0);
-
-    const std::int64_t cache_kb = ini.getInt("system.cache_kb", 128);
-    lint.expectTrue(where, "cache_kb is at least one cacheline",
-                    cache_kb * 1024 >= std::int64_t(lineBytes));
-
-    const std::int64_t accesses = ini.getInt("system.accesses", 1);
-    const std::int64_t warmup = ini.getInt("system.warmup", 0);
-    lint.expectTrue(where, "accesses is positive", accesses > 0);
-    lint.expectTrue(where, "warmup is non-negative", warmup >= 0);
-    lint.expectTrue(where, "warmup does not exceed accesses",
-                    warmup <= accesses);
-
-    if (ini.has("persist.mode")) {
-        const std::string mode = ini.getString("persist.mode");
-        lint.expectTrue(where,
-                        "persist.mode is strict, lazy or off",
-                        mode == "strict" || mode == "lazy" ||
-                            mode == "off");
-    }
-    const std::int64_t epoch_writes =
-        ini.getInt("persist.epoch_writes", 4096);
-    lint.expectTrue(where, "persist.epoch_writes is positive",
-                    epoch_writes >= 1);
-
-    const std::int64_t channels = ini.getInt("dram.channels", 2);
-    const std::int64_t ranks = ini.getInt("dram.ranks", 2);
-    lint.expectTrue(where, "dram.channels in [1, 16]",
-                    channels >= 1 && channels <= 16);
-    lint.expectTrue(where, "dram.ranks in [1, 16]",
-                    ranks >= 1 && ranks <= 16);
-
-    if (have_tree && mem_bytes % lineBytes == 0 && mem_bytes > 0)
-        checkGeometry(lint, path, tree, mem_bytes);
+    checkGeometry(lint, path, *treeConfigByName(setup.configName),
+                  setup.secmem.memBytes);
 
     // --- expected-value overrides (the lint spec sections) ---
     if (ini.has("lint.zcc.buckets")) {
@@ -763,43 +533,45 @@ checkIniFile(Lint &lint, const std::string &path)
     if (ini.has("lint.mcr.major_bits") || ini.has("lint.mcr.base_bits") ||
         ini.has("lint.mcr.minor_bits")) {
         const std::string w = where + "/mcr";
-        const std::uint64_t major_bits =
-            std::uint64_t(ini.getInt("lint.mcr.major_bits",
-                                     mcr::majorBits));
-        const std::uint64_t base_bits = std::uint64_t(
-            ini.getInt("lint.mcr.base_bits", mcr::baseBits));
-        const std::uint64_t minor_bits = std::uint64_t(
-            ini.getInt("lint.mcr.minor_bits", mcr::minorBits));
-        lint.expectEq(w, "declared MCR major width", mcr::majorBits,
-                      major_bits);
-        lint.expectEq(w, "declared MCR base width", mcr::baseBits,
-                      base_bits);
-        lint.expectEq(w, "declared MCR minor width", mcr::minorBits,
-                      minor_bits);
-        lint.expectEq(w, "declared MCR fields partition the line",
-                      1 + major_bits + mcr::numSets * base_bits +
-                          mcr::numCounters * minor_bits + 64,
-                      lineBits);
+        const auto major_bits =
+            specCount(lint, w, ini, "lint.mcr.major_bits", mcr::majorBits);
+        const auto base_bits =
+            specCount(lint, w, ini, "lint.mcr.base_bits", mcr::baseBits);
+        const auto minor_bits =
+            specCount(lint, w, ini, "lint.mcr.minor_bits", mcr::minorBits);
+        if (major_bits && base_bits && minor_bits) {
+            lint.expectEq(w, "declared MCR major width", mcr::majorBits,
+                          *major_bits);
+            lint.expectEq(w, "declared MCR base width", mcr::baseBits,
+                          *base_bits);
+            lint.expectEq(w, "declared MCR minor width", mcr::minorBits,
+                          *minor_bits);
+            lint.expectEq(w, "declared MCR fields partition the line",
+                          1 + *major_bits + mcr::numSets * *base_bits +
+                              mcr::numCounters * *minor_bits + 64,
+                          lineBits);
+        }
     }
 
     // SC-n layout spec: declared arity/minor width must divide the
     // 384-bit minor field and match the codec.
     if (ini.has("lint.sc.arity") || ini.has("lint.sc.minor_bits")) {
         const std::string w = where + "/sc";
-        const auto arity =
-            std::uint64_t(ini.getInt("lint.sc.arity", 64));
-        if (arity == 0 || 384 % arity != 0) {
-            lint.fail(w, "declared arity " + std::to_string(arity) +
+        const auto arity = specCount(lint, w, ini, "lint.sc.arity", 64);
+        if (arity && (*arity == 0 || 384 % *arity != 0)) {
+            lint.fail(w, "declared arity " + std::to_string(*arity) +
                              " does not divide the 384-bit minor "
                              "field");
-        } else {
-            const std::uint64_t minor_bits = std::uint64_t(
-                ini.getInt("lint.sc.minor_bits", 384 / arity));
-            lint.expectEq(w, "declared SC minor width", 384 / arity,
-                          minor_bits);
-            SplitCounterFormat format{unsigned(arity)};
-            lint.expectEq(w, "SplitCounterFormat minor width",
-                          format.minorBits(), minor_bits);
+        } else if (arity) {
+            const auto minor_bits = specCount(
+                lint, w, ini, "lint.sc.minor_bits", 384 / *arity);
+            if (minor_bits) {
+                lint.expectEq(w, "declared SC minor width", 384 / *arity,
+                              *minor_bits);
+                SplitCounterFormat format{unsigned(*arity)};
+                lint.expectEq(w, "SplitCounterFormat minor width",
+                              format.minorBits(), *minor_bits);
+            }
         }
     }
 
@@ -807,69 +579,52 @@ checkIniFile(Lint &lint, const std::string &path)
     // must fit the declared OTP seed width.
     if (ini.has("lint.morph.otp_counter_bits")) {
         const std::string w = where + "/morph";
-        const std::uint64_t declared = std::uint64_t(
-            ini.getInt("lint.morph.otp_counter_bits", 0));
-        lint.expectEq(w, "declared OTP counter width", otpCounterBits,
-                      declared);
-        lint.expectEq(w,
-                      "MCR major+base equals the declared OTP width",
-                      mcr::majorBits + mcr::baseBits, declared);
-        lint.expectTrue(w,
-                        "ZCC major can hold every declared-width value",
-                        declared <= zcc::majorBits);
+        if (const auto declared = specCount(
+                lint, w, ini, "lint.morph.otp_counter_bits", 0)) {
+            lint.expectEq(w, "declared OTP counter width",
+                          otpCounterBits, *declared);
+            lint.expectEq(w,
+                          "MCR major+base equals the declared OTP width",
+                          mcr::majorBits + mcr::baseBits, *declared);
+            lint.expectTrue(w,
+                            "ZCC major can hold every declared-width "
+                            "value",
+                            *declared <= zcc::majorBits);
+        }
     }
 
-    // Stat-name spec: an extra name the configuration claims to
-    // register; it must satisfy the contract *and* not collide with
-    // any name the system already registers.
-    if (ini.has("lint.stats.extra_name")) {
-        std::vector<std::string> names = runtimeStatNames();
-        names.push_back(ini.getString("lint.stats.extra_name"));
-        checkStatNames(lint, where + "/stats", std::move(names));
-    }
-
-    // Prof-scope spec: an extra profiler scope the configuration
-    // claims to register; same contract as stat names, and it must
-    // not collide with a scope the hot path already registers.
-    if (ini.has("lint.prof.extra_scope")) {
-        std::vector<std::string> names = runtimeProfNames();
-        names.push_back(ini.getString("lint.prof.extra_scope"));
-        checkProfNames(lint, where + "/prof", std::move(names));
-    }
-
+    // Geometry spec: lint.geometry.config and .mem_gb stand in for the
+    // file's system.config and system.mem_gb, with the same meaning.
     if (ini.has("lint.geometry.config") ||
         ini.has("lint.geometry.tree_levels") ||
         ini.has("lint.geometry.metadata_mb")) {
-        TreeConfig spec_tree = tree;
-        std::string spec_name =
-            ini.getString("lint.geometry.config",
-                          ini.getString("system.config", "morph"));
-        if (!lookupConfig(spec_name, spec_tree)) {
-            lint.fail(where, "lint.geometry.config '" + spec_name +
-                                 "' is not a known tree");
-            return;
+        const std::string w = where + "/geometry";
+        SimSetup spec = setup;
+        for (const std::string field : {"config", "mem_gb"}) {
+            const std::string key = "lint.geometry." + field;
+            if (!ini.has(key))
+                continue;
+            if (const auto why = applySetting(spec, "system." + field,
+                                              ini.getString(key))) {
+                lint.fail(w, key + ": " + *why);
+                return;
+            }
         }
-        const std::uint64_t spec_bytes = std::uint64_t(
-            ini.getDouble("lint.geometry.mem_gb", mem_gb) *
-            double(1ull << 30));
-        const TreeGeometry geom(spec_bytes, spec_tree);
-        if (ini.has("lint.geometry.tree_levels")) {
-            lint.expectEq(where + "/geometry",
-                          spec_name + " tree levels", geom.treeLevels(),
-                          std::uint64_t(
-                              ini.getInt("lint.geometry.tree_levels",
-                                         0)));
-        }
-        if (ini.has("lint.geometry.metadata_mb")) {
-            const std::uint64_t metadata_bytes =
-                geom.totalBytes() - geom.memBytes();
-            lint.expectEq(where + "/geometry",
-                          spec_name + " metadata MB",
-                          metadata_bytes >> 20,
-                          std::uint64_t(
-                              ini.getInt("lint.geometry.metadata_mb",
-                                         0)));
-        }
+        const TreeGeometry geom(spec.secmem.memBytes,
+                                *treeConfigByName(spec.configName));
+        const std::string &name = spec.configName;
+        if (const auto levels =
+                specCount(lint, w, ini, "lint.geometry.tree_levels",
+                          geom.treeLevels()))
+            lint.expectEq(w, name + " tree levels", geom.treeLevels(),
+                          *levels);
+        const std::uint64_t metadata_mb =
+            (geom.totalBytes() - geom.memBytes()) >> 20;
+        if (const auto declared =
+                specCount(lint, w, ini, "lint.geometry.metadata_mb",
+                          metadata_mb))
+            lint.expectEq(w, name + " metadata MB", metadata_mb,
+                          *declared);
     }
 }
 
@@ -937,8 +692,6 @@ main(int argc, char **argv)
     checkLayouts(lint);
     checkLayoutProbes(lint);
     checkAllGeometries(lint, mem_gb << 30);
-    checkStatNames(lint, "stat-names", runtimeStatNames());
-    checkProfNames(lint, "prof-scopes", runtimeProfNames());
     for (const std::string &path : configs)
         checkIniFile(lint, path);
 

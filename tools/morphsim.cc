@@ -26,8 +26,13 @@
  *   morphsim --workload mcf --sweep sc64,vault,morph --jobs 4
  *   morphsim --list
  *
- * Exit codes: 0 success, 2 bad command line, 3 bad configuration
- * (unknown workload/config, unreadable file, unknown INI key),
+ * Settings with an INI key (sim/sim_settings.hh) are parsed and
+ * range-checked by the one schema, whether they come from
+ * --config-file or from the value flag of the same syntax.
+ *
+ * Exit codes: 0 success, 2 bad command line (a bad flag value
+ * included), 3 bad configuration (unknown workload/config, unreadable
+ * file, INI syntax error, unknown INI key or bad INI value),
  * 4 runtime failure (export I/O, internal error).
  */
 
@@ -45,6 +50,7 @@
 #include "common/prof.hh"
 #include "common/run_pool.hh"
 #include "flag_parse.hh"
+#include "sim/sim_settings.hh"
 #include "sim/simulator.hh"
 
 namespace
@@ -65,8 +71,12 @@ usage()
         "  --workload NAME     Table-II workload or mix (see --list)\n"
         "  --config-file FILE  read options from an INI file\n"
         "  --trace FILE        replay a trace file on every core\n"
-        "  --config NAME       sc64 | vault | morph | morph-zcc |\n"
-        "                      sc128 | sgx | bmt  (default: morph)\n"
+        "  --config NAME       tree config (default: morph):\n"
+        "                     ");
+    for (const std::string &name : treeConfigNames())
+        std::printf(" %s", name.c_str());
+    std::printf(
+        "\n"
         "  --mem-gb N          protected capacity (default 16)\n"
         "  --cache-kb N        metadata cache size (default 128)\n"
         "  --accesses N        measured accesses per core\n"
@@ -102,58 +112,6 @@ usage()
         "  --list              list workloads and exit\n");
 }
 
-/** Resolve a tree config name; false (no change) if unknown. */
-bool
-configByName(const std::string &name, TreeConfig &out)
-{
-    if (name == "sc64")
-        out = TreeConfig::sc64();
-    else if (name == "vault")
-        out = TreeConfig::vault();
-    else if (name == "morph")
-        out = TreeConfig::morph();
-    else if (name == "morph-zcc")
-        out = TreeConfig::morphZccOnly();
-    else if (name == "sc128")
-        out = TreeConfig::sc128();
-    else if (name == "sgx")
-        out = TreeConfig::sgx();
-    else if (name == "bmt")
-        out = TreeConfig::bonsaiMacTree();
-    else
-        return false;
-    return true;
-}
-
-/** Resolve a persistence mode name; false if unknown. */
-bool
-persistByName(const std::string &mode, PersistConfig &out)
-{
-    if (mode == "off") {
-        out.enabled = false;
-    } else if (mode == "strict") {
-        out.enabled = true;
-        out.policy = PersistPolicy::Strict;
-    } else if (mode == "lazy") {
-        out.enabled = true;
-        out.policy = PersistPolicy::Lazy;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-bool
-knownWorkload(const std::string &name)
-{
-    if (findWorkload(name))
-        return true;
-    for (const MixSpec &mix : mixTable())
-        if (mix.name == name)
-            return true;
-    return false;
-}
-
 bool
 readableFile(const std::string &path)
 {
@@ -182,143 +140,24 @@ listWorkloads()
     }
 }
 
-/**
- * Check a real-valued setting given by a flag (--scale, --mem-gb) or
- * an INI key (system.scale, system.mem_gb): @p text must be a whole,
- * finite, non-negative number (parseReal), and a capacity in GiB
- * (@p gib) must have a byte count that fits in 64 bits, because
- * converting a larger double to an integer is undefined. Returns
- * nullptr and stores the value in @p out, or says what is wrong.
- */
-const char *
-checkRealSetting(const char *text, bool gib, double &out)
-{
-    const std::optional<double> v = parseReal(text);
-    if (!v || *v < 0.0)
-        return "needs a non-negative number";
-    if (gib && *v >= double(~std::uint64_t(0) >> 30))
-        return "is out of range";
-    out = *v;
-    return nullptr;
-}
-
-/** Bytes in @p gb GiB (checked by checkRealSetting). */
-std::uint64_t
-gibToBytes(double gb)
-{
-    return std::uint64_t(gb * double(1ull << 30));
-}
-
-/** Real INI key @p key through checkRealSetting, nullopt if absent;
- *  exits with exitBadConfig on a bad value. */
-std::optional<double>
-realKey(const IniFile &ini, const std::string &path, const char *key,
-        bool gib = false)
-{
-    if (!ini.has(key))
-        return std::nullopt;
-    double v = 0.0;
-    const std::string text = ini.getString(key);
-    if (const char *why = checkRealSetting(text.c_str(), gib, v)) {
-        std::fprintf(stderr, "morphsim: config %s: %s %s (got '%s')\n",
-                     path.c_str(), key, why, text.c_str());
-        std::exit(exitBadConfig);
-    }
-    return v;
-}
-
-/** Apply an INI config file onto the option structs; exits with
- *  exitBadConfig on unreadable files, unknown keys and bad values. */
+/** Apply INI config file @p path through the settings schema; exits
+ *  with exitBadConfig on an unreadable file, a syntax error, an
+ *  unknown key or a bad value. */
 void
-applyConfigFile(const std::string &path, std::string &workload,
-                std::string &trace_path, std::string &config_name,
-                SecureModelConfig &secmem, SimOptions &options)
+loadConfigFile(const std::string &path, SimSetup &setup)
 {
-    if (!readableFile(path)) {
-        std::fprintf(stderr, "morphsim: cannot read config file %s\n",
-                     path.c_str());
+    std::string error;
+    const std::optional<IniFile> ini = IniFile::fromFile(path, error);
+    if (!ini) {
+        std::fprintf(stderr, "morphsim: %s\n", error.c_str());
         std::exit(exitBadConfig);
     }
-    const IniFile ini = IniFile::fromFile(path);
-
-    static const char *known[] = {
-        "system.workload", "system.trace", "system.config",
-        "system.mem_gb", "system.cache_kb", "system.accesses",
-        "system.warmup", "system.scale", "system.seed",
-        "system.timing", "controller.separate_macs",
-        "controller.spec_verify", "controller.ctr_prefetch",
-        "controller.demote_enc", "persist.mode",
-        "persist.epoch_writes", "dram.refresh",
-        "dram.write_queueing", "dram.channels", "dram.ranks",
-    };
-    for (const std::string &key : ini.keys()) {
-        bool ok = false;
-        for (const char *candidate : known)
-            ok = ok || key == candidate;
-        if (!ok) {
-            std::fprintf(stderr,
-                         "morphsim: config %s: unknown key '%s'\n",
-                         path.c_str(), key.c_str());
-            std::exit(exitBadConfig);
-        }
-    }
-
-    workload = ini.getString("system.workload", workload);
-    trace_path = ini.getString("system.trace", trace_path);
-    config_name = ini.getString("system.config", config_name);
-    if (const auto gb = realKey(ini, path, "system.mem_gb", true))
-        secmem.memBytes = gibToBytes(*gb);
-    secmem.metadataCacheBytes = std::size_t(
-        ini.getInt("system.cache_kb",
-                   std::int64_t(secmem.metadataCacheBytes / 1024)) *
-        1024);
-    options.accessesPerCore = std::uint64_t(ini.getInt(
-        "system.accesses", std::int64_t(options.accessesPerCore)));
-    options.warmupPerCore = std::uint64_t(ini.getInt(
-        "system.warmup", std::int64_t(options.warmupPerCore)));
-    if (const auto scale = realKey(ini, path, "system.scale"))
-        options.footprintScale = *scale;
-    options.seed = std::uint64_t(
-        ini.getInt("system.seed", std::int64_t(options.seed)));
-    options.timing = ini.getBool("system.timing", options.timing);
-    secmem.inlineMacs =
-        !ini.getBool("controller.separate_macs", !secmem.inlineMacs);
-    secmem.speculativeVerification =
-        ini.getBool("controller.spec_verify",
-                    secmem.speculativeVerification);
-    secmem.counterPrefetch =
-        ini.getBool("controller.ctr_prefetch", secmem.counterPrefetch);
-    secmem.demoteEncCounters =
-        ini.getBool("controller.demote_enc", secmem.demoteEncCounters);
-    const std::string persist_mode =
-        ini.getString("persist.mode", std::string());
-    if (!persist_mode.empty() &&
-        !persistByName(persist_mode, secmem.persist)) {
-        std::fprintf(stderr,
-                     "morphsim: config %s: persist.mode must be "
-                     "strict, lazy or off (got '%s')\n",
-                     path.c_str(), persist_mode.c_str());
+    const std::vector<std::string> reasons = applySettings(setup, *ini);
+    for (const std::string &why : reasons)
+        std::fprintf(stderr, "morphsim: config %s: %s\n", path.c_str(),
+                     why.c_str());
+    if (!reasons.empty())
         std::exit(exitBadConfig);
-    }
-    const std::int64_t epoch_writes =
-        ini.getInt("persist.epoch_writes",
-                   std::int64_t(secmem.persist.epochWrites));
-    if (epoch_writes < 1) {
-        std::fprintf(stderr,
-                     "morphsim: config %s: persist.epoch_writes must "
-                     "be >= 1\n",
-                     path.c_str());
-        std::exit(exitBadConfig);
-    }
-    secmem.persist.epochWrites = std::uint64_t(epoch_writes);
-    options.dram.refresh =
-        ini.getBool("dram.refresh", options.dram.refresh);
-    options.dram.writeQueueing =
-        ini.getBool("dram.write_queueing", options.dram.writeQueueing);
-    options.dram.channels = unsigned(
-        ini.getInt("dram.channels", options.dram.channels));
-    options.dram.ranksPerChannel =
-        unsigned(ini.getInt("dram.ranks", options.dram.ranksPerChannel));
 }
 
 [[noreturn]] void
@@ -342,29 +181,14 @@ countFlag(const std::string &arg, const char *text)
     return *v;
 }
 
-/** Real option value through checkRealSetting; exits with code 2 on
- *  junk, nan, infinite, negative or (@p gib) oversized input. */
-double
-realFlag(const std::string &arg, const char *text, bool gib = false)
-{
-    double v = 0.0;
-    if (const char *why = checkRealSetting(text, gib, v))
-        badFlag(("option %s " + std::string(why)).c_str(), arg.c_str());
-    return v;
-}
-
 /** Expand a --sweep list ("all" or comma-separated names) into
  *  config names; exits with code 3 on an unknown name. */
 std::vector<std::string>
 sweepConfigs(const std::string &list)
 {
-    static const char *all[] = {"sc64",   "vault", "morph", "morph-zcc",
-                                "sc128",  "sgx",   "bmt"};
+    if (list == "all")
+        return treeConfigNames();
     std::vector<std::string> names;
-    if (list == "all") {
-        names.assign(std::begin(all), std::end(all));
-        return names;
-    }
     std::stringstream stream(list);
     std::string item;
     while (std::getline(stream, item, ','))
@@ -375,8 +199,7 @@ sweepConfigs(const std::string &list)
         std::exit(exitBadFlag);
     }
     for (const std::string &name : names) {
-        TreeConfig probe;
-        if (!configByName(name, probe)) {
+        if (!treeConfigByName(name)) {
             std::fprintf(stderr,
                          "morphsim: unknown config '%s' in --sweep\n",
                          name.c_str());
@@ -417,7 +240,7 @@ runSweep(const std::vector<std::string> &configs,
             configs.size(), [&](std::size_t i) {
                 const std::string &name = configs[i];
                 SecureModelConfig secmem = base_secmem;
-                configByName(name, secmem.tree);
+                secmem.tree = *treeConfigByName(name);
                 SimOptions options = base_options;
                 options.seed =
                     sweepSeed(key_base + "/" + name, base_options.seed);
@@ -510,14 +333,11 @@ finishProfile(const std::string &prof_out, bool prof_stderr,
 int
 main(int argc, char **argv)
 {
-    std::string workload;
-    std::string trace_path;
-    std::string config_name = "morph";
+    SimSetup setup;
+    setup.options = SimOptions::fromEnv();
     std::string stats_json_path;
     std::string stats_csv_path;
     std::string trace_out_path;
-    SecureModelConfig secmem;
-    SimOptions options = SimOptions::fromEnv();
     ScopeConfig scope_config;
     std::uint64_t trace_sample = 64;
     std::string sweep_list;
@@ -532,46 +352,26 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--workload") {
-            workload = value();
+            setup.workload = value();
         } else if (arg == "--config-file") {
-            applyConfigFile(value(), workload, trace_path, config_name,
-                            secmem, options);
+            loadConfigFile(value(), setup);
         } else if (arg == "--trace") {
-            trace_path = value();
+            setup.tracePath = value();
         } else if (arg == "--config") {
-            config_name = value();
-        } else if (arg == "--mem-gb") {
-            secmem.memBytes = gibToBytes(realFlag(arg, value(), true));
-        } else if (arg == "--cache-kb") {
-            secmem.metadataCacheBytes =
-                std::size_t(countFlag(arg, value())) * 1024;
-        } else if (arg == "--accesses") {
-            options.accessesPerCore = countFlag(arg, value());
-        } else if (arg == "--warmup") {
-            options.warmupPerCore = countFlag(arg, value());
-        } else if (arg == "--scale") {
-            options.footprintScale = realFlag(arg, value());
-        } else if (arg == "--seed") {
-            options.seed = countFlag(arg, value());
+            setup.configName = value();
+        } else if (const char *key = settingForFlag(arg)) {
+            if (const auto why = applySetting(setup, key, value()))
+                badFlag("%s", ("option " + arg + ": " + *why).c_str());
         } else if (arg == "--timing") {
-            options.timing = countFlag(arg, value()) != 0;
+            setup.options.timing = countFlag(arg, value()) != 0;
         } else if (arg == "--separate-macs") {
-            secmem.inlineMacs = false;
-        } else if (arg == "--persist") {
-            if (!persistByName(value(), secmem.persist))
-                badFlag("option %s needs strict, lazy or off",
-                        arg.c_str());
-        } else if (arg == "--persist-epoch") {
-            const std::uint64_t v = countFlag(arg, value());
-            if (v == 0)
-                badFlag("option %s needs a value >= 1", arg.c_str());
-            secmem.persist.epochWrites = v;
+            setup.secmem.inlineMacs = false;
         } else if (arg == "--spec-verify") {
-            secmem.speculativeVerification = true;
+            setup.secmem.speculativeVerification = true;
         } else if (arg == "--ctr-prefetch") {
-            secmem.counterPrefetch = true;
+            setup.secmem.counterPrefetch = true;
         } else if (arg == "--demote-enc") {
-            secmem.demoteEncCounters = true;
+            setup.secmem.demoteEncCounters = true;
         } else if (arg == "--occupancy") {
             scope_config.occupancy = true;
         } else if (arg == "--epoch") {
@@ -606,6 +406,9 @@ main(int argc, char **argv)
         }
     }
 
+    const std::string &workload = setup.workload;
+    const std::string &trace_path = setup.tracePath;
+    const std::string &config_name = setup.configName;
     if (workload.empty() && trace_path.empty()) {
         usage();
         std::fprintf(stderr, "morphsim: need --workload or --trace\n");
@@ -613,11 +416,13 @@ main(int argc, char **argv)
     }
 
     // Validate the configuration before spending time simulating.
-    if (!configByName(config_name, secmem.tree)) {
+    const std::optional<TreeConfig> tree = treeConfigByName(config_name);
+    if (!tree) {
         std::fprintf(stderr, "morphsim: unknown config '%s'\n",
                      config_name.c_str());
         return exitBadConfig;
     }
+    setup.secmem.tree = *tree;
     if (!workload.empty() && !knownWorkload(workload)) {
         std::fprintf(stderr,
                      "morphsim: unknown workload or mix '%s'"
@@ -647,7 +452,8 @@ main(int argc, char **argv)
             badFlag("%s is not supported with --sweep", "--trace-out");
         const int code =
             runSweep(sweepConfigs(sweep_list), workload, trace_path,
-                     secmem, options, scope_config, stats_json_path,
+                     setup.secmem, setup.options, scope_config,
+                     stats_json_path,
                      stats_csv_path, jobs);
         if (profiling &&
             !finishProfile(prof_out_path, prof_stderr, workload_key,
@@ -661,9 +467,10 @@ main(int argc, char **argv)
     try {
         MORPH_PROF_SCOPE("morphsim.run");
         result = trace_path.empty()
-                     ? runByName(workload, secmem, options, &scope)
-                     : runTraceFile(trace_path, secmem, options,
-                                    &scope);
+                     ? runByName(workload, setup.secmem, setup.options,
+                                 &scope)
+                     : runTraceFile(trace_path, setup.secmem,
+                                    setup.options, &scope);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "morphsim: simulation failed: %s\n",
                      e.what());
